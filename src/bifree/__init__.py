@@ -30,19 +30,15 @@ from .series import (
     TruncatedSeries1,
     TruncatedSeries2,
     as_rational,
-    format_rational,
     render_series_1,
     render_series_2,
-    s1_arith,
     s1_comp_inverse,
     s1_compose,
     s1_reciprocal,
     s1_shift_down,
-    s2_arith,
     s2_compose_each_variable,
     s2_divide_monomial,
     s2_from_s1,
-    s2_poly,
     s2_reciprocal,
 )
 from .ncpart import (

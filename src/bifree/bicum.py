@@ -72,20 +72,8 @@ class PairDistribution:
                 f"kappa({n},{m}) beyond truncation order {self.trunc}")
         return self._table.get((n, m), _ZERO)
 
-    def kappa_left(self, n):
-        return self.kappa(n, 0)
-
-    def kappa_right(self, m):
-        return self.kappa(0, m)
-
     def items(self):
         return sorted(self._table.items())
-
-    def is_normalized(self, side="both"):
-        """Whether the face means are 1 ('left', 'right', or 'both')."""
-        left = self.kappa(1, 0) == 1
-        right = self.kappa(0, 1) == 1
-        return {"left": left, "right": right, "both": left and right}[side]
 
     def __eq__(self, other):
         if not isinstance(other, PairDistribution):
@@ -105,15 +93,27 @@ class PairDistribution:
 
     @classmethod
     def from_json(cls, text):
+        """Parse to_json's format strictly: integer trunc, n and m, values
+        given as ints or "p/q" strings, and each cell at most once."""
         data = json.loads(text)
         try:
-            kappa = {(e["n"], e["m"]): Fraction(e["value"])
-                     for e in data["kappa"]}
-            return cls(data["trunc"], kappa)
+            kappa = {}
+            for e in data["kappa"]:
+                cell = (_json_int(e["n"]), _json_int(e["m"]))
+                if cell in kappa:
+                    raise ValueError(f"duplicate cell {cell} in table")
+                kappa[cell] = as_rational(e["value"])
+            return cls(_json_int(data["trunc"]), kappa)
         except (TypeError, KeyError) as exc:
             raise ValueError(
                 'table must be {"trunc": N, "kappa": [{"n": ..., "m": ..., '
-                '"value": ...}, ...]}') from exc
+                f'"value": ...}}, ...]}} ({exc})') from exc
+
+
+def _json_int(x):
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"not an integer: {x!r}")
 
 
 class BiFreeFamily:
@@ -245,13 +245,26 @@ def series_K(d, trunc=None):
     return TruncatedSeries2(coeffs, trunc)
 
 
-def _family_values(fam, color_to_pair):
-    pairs = {color: fam.pair(index) for color, index in color_to_pair.items()}
+def _check_cell(fam, n, m):
+    if n < 0 or m < 0 or n + m < 1:
+        raise ValueError(f"bad cumulant index ({n},{m})")
+    if n + m > fam.trunc:
+        raise TruncationExceeded(
+            f"cell ({n},{m}) needs blocks beyond table order {fam.trunc}")
+
+
+def _class_cumulant(fam, kind, n, m):
+    """Weigh every bucket of a cell's class profiles; block color i reads
+    the table of pair i."""
+    pairs = {1: fam.pair1, 2: fam.pair2}
 
     def block_value(color, nl, nr):
         return pairs[color].kappa(nl, nr)
 
-    return block_value
+    total = _ZERO
+    for bucket in class_profiles(kind, n, m, fam.trunc).values():
+        total += weigh(bucket, block_value)
+    return total
 
 
 def sum_product_pair_cumulants(fam, n, m):
@@ -261,19 +274,10 @@ def sum_product_pair_cumulants(fam, n, m):
     with m >= 1 expands b1*b2 into 2m right entries and sums the admissible
     partition class; the parity of a block's rights picks the table.
     """
-    if n < 0 or m < 0 or n + m < 1:
-        raise ValueError(f"bad cumulant index ({n},{m})")
-    if n + m > fam.trunc:
-        raise TruncationExceeded(
-            f"cell ({n},{m}) needs blocks beyond table order {fam.trunc}")
+    _check_cell(fam, n, m)
     if m == 0:
         return fam.pair1.kappa(n, 0) + fam.pair2.kappa(n, 0)
-    profiles = class_profiles("T", n, m, fam.trunc)
-    value = _family_values(fam, {1: 1, 2: 2})
-    total = _ZERO
-    for bucket in profiles.values():
-        total += weigh(bucket, value)
-    return total
+    return _class_cumulant(fam, "T", n, m)
 
 
 def product_pair_cumulants(fam, right_order, n, m):
@@ -285,45 +289,34 @@ def product_pair_cumulants(fam, right_order, n, m):
     """
     if right_order not in RIGHT_ORDERS:
         raise ValueError(f"right_order must be one of {RIGHT_ORDERS}")
-    if n < 0 or m < 0 or n + m < 1:
-        raise ValueError(f"bad cumulant index ({n},{m})")
-    if n + m > fam.trunc:
-        raise TruncationExceeded(
-            f"cell ({n},{m}) needs blocks beyond table order {fam.trunc}")
+    _check_cell(fam, n, m)
     kind = "S" if right_order == "b1b2" else "S_flip_right"
-    profiles = class_profiles(kind, n, m, fam.trunc)
-    value = _family_values(fam, {1: 1, 2: 2})
-    total = _ZERO
-    for bucket in profiles.values():
-        total += weigh(bucket, value)
-    return total
+    return _class_cumulant(fam, kind, n, m)
 
 
-def sum_product_pair_distribution(fam, trunc=None):
-    """Full cumulant table of (a1+a2, b1*b2) up to the given order."""
-    trunc = fam.trunc if trunc is None else int(trunc)
-    if trunc > fam.trunc:
-        raise TruncationExceeded("requested order exceeds the family tables")
-    kappa = {}
-    for n in range(trunc + 1):
-        for m in range(trunc + 1 - n):
-            if n + m >= 1:
-                kappa[(n, m)] = sum_product_pair_cumulants(fam, n, m)
-    return PairDistribution(trunc, kappa)
-
-
-def product_pair_distribution(fam, right_order, trunc=None, cells=None):
-    """Cumulant table of (a1*a2, right product) on a simplex or given cells."""
+def _pair_table(fam, trunc, cells, cumulant):
+    """PairDistribution of cumulant(n, m) on the given cells, or on the
+    whole simplex 0 < n+m <= trunc."""
     trunc = fam.trunc if trunc is None else int(trunc)
     if trunc > fam.trunc:
         raise TruncationExceeded("requested order exceeds the family tables")
     if cells is None:
         cells = [(n, m) for n in range(trunc + 1)
                  for m in range(trunc + 1 - n) if n + m >= 1]
-    kappa = {}
-    for n, m in cells:
-        kappa[(n, m)] = product_pair_cumulants(fam, right_order, n, m)
-    return PairDistribution(trunc, kappa)
+    return PairDistribution(trunc, {(n, m): cumulant(n, m) for n, m in cells})
+
+
+def sum_product_pair_distribution(fam, trunc=None):
+    """Full cumulant table of (a1+a2, b1*b2) up to the given order."""
+    return _pair_table(fam, trunc, None,
+                       lambda n, m: sum_product_pair_cumulants(fam, n, m))
+
+
+def product_pair_distribution(fam, right_order, trunc=None, cells=None):
+    """Cumulant table of (a1*a2, right product) on a simplex or given cells."""
+    return _pair_table(
+        fam, trunc, cells,
+        lambda n, m: product_pair_cumulants(fam, right_order, n, m))
 
 
 def random_pair_distribution(rng, trunc, means=None, max_num=6, max_den=6):

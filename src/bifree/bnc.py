@@ -15,7 +15,7 @@ from math import comb
 
 from ._caps import check_cap
 from .errors import InvalidSize, NotComparable, SizeMismatch
-from .ncpart import NCPartition, _is_noncrossing, enumerate_nc, kreweras
+from .ncpart import NCPartition, _is_noncrossing, enumerate_nc, kreweras, leq
 
 
 def catalan(n):
@@ -103,9 +103,6 @@ class BNCPartition:
             raise ValueError(f"partition is not bi-non-crossing: {blocks}")
         self.shape = shape
         self.blocks = canon
-
-    def num_blocks(self):
-        return len(self.blocks)
 
     def to_nc(self):
         """Transport through the chi-permutation into NC(len)."""
@@ -210,30 +207,25 @@ def _mobius_nc_to_full(nc):
 def mobius_bnc(pi, sigma):
     """Mobius function of the interval [pi, sigma] in BNC(shape).
 
-    Transported to NC through the chi-permutation and evaluated blockwise:
-    the interval factors over the blocks of sigma, and each factor
-    [pi restricted to a block, full] is handled by the Kreweras
-    factorization with mu(0_k, 1_k) = (-1)^(k-1) Catalan(k-1).
+    Transported to NC through the chi-permutation, where `mobius_nc`
+    evaluates it.
     """
     if pi.shape != sigma.shape:
         raise SizeMismatch("shapes differ")
     if not leq_bnc(pi, sigma):
         raise NotComparable(f"{pi} is not below {sigma}")
-    npi = pi.to_nc()
-    nsigma = sigma.to_nc()
-    out = Fraction(1)
-    for w in nsigma.blocks:
-        rank = {x: i + 1 for i, x in enumerate(w)}
-        inner = [[rank[x] for x in b] for b in npi.blocks if b[0] in rank]
-        out *= _mobius_nc_to_full(NCPartition(len(w), inner))
-    return out
+    return mobius_nc(pi.to_nc(), sigma.to_nc())
 
 
 def mobius_nc(pi, sigma):
-    """Mobius function on NC(n), same factorization as mobius_bnc."""
+    """Mobius function of the interval [pi, sigma] in NC(n).
+
+    Evaluated blockwise: the interval factors over the blocks of sigma, and
+    each factor [pi restricted to a block, full] is handled by the Kreweras
+    factorization with mu(0_k, 1_k) = (-1)^(k-1) Catalan(k-1).
+    """
     if pi.n != sigma.n:
         raise SizeMismatch("ground sets differ")
-    from .ncpart import leq
     if not leq(pi, sigma):
         raise NotComparable(f"{pi} is not below {sigma}")
     out = Fraction(1)

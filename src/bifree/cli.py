@@ -21,7 +21,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .bicum import (
@@ -163,27 +162,13 @@ def cmd_verify_s_mult(args):
     return 0 if report["status"] == "ok" else 1
 
 
-def _lemma_job(job):
-    lemma, trunc, items1, items2 = job
-    fam = BiFreeFamily(PairDistribution(trunc, dict(items1)),
-                       PairDistribution(trunc, dict(items2)))
-    report = check_lemma(lemma, fam)
-    del report["grid"]
-    return report
-
-
 def cmd_verify_lemmas(args):
     rng = random.Random(args.seed)
     fam = random_family(rng, args.order, means=(1, 1))
-    jobs = [(lemma, args.order, tuple(fam.pair1.items()),
-             tuple(fam.pair2.items())) for lemma in sorted(LEMMAS)]
-    if args.parallel:
-        with ProcessPoolExecutor() as pool:
-            reports = list(pool.map(_lemma_job, jobs))
-    else:
-        reports = [_lemma_job(j) for j in jobs]
+    reports = [check_lemma(lemma, fam) for lemma in sorted(LEMMAS)]
     ok = True
     for report in reports:
+        del report["grid"]
         report["seed"] = args.seed
         report["order"] = args.order
         _print_report(report, args.format)
@@ -198,8 +183,7 @@ def _random_normalized_multfn(rng, trunc):
     return MultFn(values)
 
 
-def _identity_job(job):
-    which, order, seed = job
+def _identity_trials(which, order, seed):
     rng = random.Random(seed)
     reports = []
     for _ in range(_IDENTITY_TRIALS):
@@ -220,14 +204,9 @@ def _identity_job(job):
 
 
 def cmd_verify_identities(args):
-    jobs = [(which, args.order, args.seed)
-            for which in ("convolution-inversion", "inverse-product",
-                          "bimoment-factorization")]
-    if args.parallel:
-        with ProcessPoolExecutor() as pool:
-            reports = list(pool.map(_identity_job, jobs))
-    else:
-        reports = [_identity_job(j) for j in jobs]
+    reports = [_identity_trials(which, args.order, args.seed)
+               for which in ("convolution-inversion", "inverse-product",
+                             "bimoment-factorization")]
     ok = True
     for report in reports:
         report["seed"] = args.seed
@@ -299,14 +278,12 @@ def build_parser():
     p = vsub.add_parser("lemmas", help="the nine class-sum identities")
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--parallel", action="store_true")
     _add_format(p)
     p.set_defaults(func=cmd_verify_lemmas)
 
     p = vsub.add_parser("identities", help="foundational series identities")
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--parallel", action="store_true")
     _add_format(p)
     p.set_defaults(func=cmd_verify_identities)
 

@@ -81,37 +81,32 @@ def _product(f, sizes):
     return out
 
 
-def convolve(f, g):
-    """The convolution f * g, computed degree by degree."""
+def _convolve(f, g, name, pinched_only):
+    """Sum over NC(n) (NC'(n) when pinched_only) of f(0, pi) g(0, K(pi))."""
     if f.trunc != g.trunc:
         raise TruncationExceeded(
             f"truncation mismatch: {f.trunc} vs {g.trunc}")
-    check_cap(f.trunc, f"convolve at order {f.trunc}")
-    out = []
-    for n in range(1, f.trunc + 1):
-        acc = Fraction(0)
-        for (sp, sk, _), cnt in _kreweras_profiles(n).items():
-            acc += cnt * _product(f, sp) * _product(g, sk)
-        out.append(acc)
-    return MultFn(out)
-
-
-def pinched_convolve(f, g):
-    """The pinched convolution f *v g over NC'(n); order matters."""
-    if f.trunc != g.trunc:
-        raise TruncationExceeded(
-            f"truncation mismatch: {f.trunc} vs {g.trunc}")
-    if not f.is_normalized() or not g.is_normalized():
+    if pinched_only and not (f.is_normalized() and g.is_normalized()):
         raise NotNormalized("pinched convolution needs f_1 = g_1 = 1")
-    check_cap(f.trunc, f"pinched_convolve at order {f.trunc}")
+    check_cap(f.trunc, f"{name} at order {f.trunc}")
     out = []
     for n in range(1, f.trunc + 1):
         acc = Fraction(0)
         for (sp, sk, pinched), cnt in _kreweras_profiles(n).items():
-            if pinched:
+            if pinched or not pinched_only:
                 acc += cnt * _product(f, sp) * _product(g, sk)
         out.append(acc)
     return MultFn(out)
+
+
+def convolve(f, g):
+    """The convolution f * g, computed degree by degree."""
+    return _convolve(f, g, "convolve", pinched_only=False)
+
+
+def pinched_convolve(f, g):
+    """The pinched convolution f *v g over NC'(n); order matters."""
+    return _convolve(f, g, "pinched_convolve", pinched_only=True)
 
 
 def phi_series(f):

@@ -32,15 +32,6 @@ class NCPartition:
         self.n = n
         self.blocks = canon
 
-    def num_blocks(self):
-        return len(self.blocks)
-
-    def block_of(self, x):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
-
     def block_sizes(self):
         return sorted(len(b) for b in self.blocks)
 

@@ -46,15 +46,14 @@ from .ncpart import join_is_full
 from .series import (
     TruncatedSeries1,
     TruncatedSeries2,
-    s1_arith,
     s1_compose,
     s1_reciprocal,
     s1_shift_down,
-    s2_arith,
     s2_compose_each_variable,
     s2_divide_monomial,
     s2_from_s1,
 )
+from .transforms import _compare_cells
 
 FAMILIES = ("T", "T_primed", "S", "S_primed")
 
@@ -285,19 +284,34 @@ def class_count(spec):
 # the nine class-sum identities
 # ---------------------------------------------------------------------------
 
-def _faces(fam):
-    """Left and right cumulant sequences of both pairs as one-variable
-    multiplicative functions, in the order f1, f2, g1, g2."""
+class _Pinched(NamedTuple):
+    """The faces of a family and the pinched series built from them.
+
+    f1, f2 (g1, g2) are the left (right) cumulant sequences of pairs 1 and
+    2 as multiplicative functions; f12 is phi_{f1 pinched* f2}, f21 is
+    phi_{f2 pinched* f1}, and likewise g12, g21.
+    """
+    f1: MultFn
+    f2: MultFn
+    g1: MultFn
+    g2: MultFn
+    f12: TruncatedSeries1
+    f21: TruncatedSeries1
+    g12: TruncatedSeries1
+    g21: TruncatedSeries1
+
+
+def _pinched(fam):
     T = fam.trunc
-    out = []
-    for side in ("left", "right"):
-        for i in (1, 2):
-            d = fam.pair(i)
-            if side == "left":
-                out.append(MultFn([d.kappa(k, 0) for k in range(1, T + 1)]))
-            else:
-                out.append(MultFn([d.kappa(0, k) for k in range(1, T + 1)]))
-    return out[0], out[1], out[2], out[3]
+    f1, f2 = (MultFn([fam.pair(i).kappa(k, 0) for k in range(1, T + 1)])
+              for i in (1, 2))
+    g1, g2 = (MultFn([fam.pair(i).kappa(0, k) for k in range(1, T + 1)])
+              for i in (1, 2))
+    return _Pinched(f1, f2, g1, g2,
+                    phi_series(pinched_convolve(f1, f2)),
+                    phi_series(pinched_convolve(f2, f1)),
+                    phi_series(pinched_convolve(g1, g2)),
+                    phi_series(pinched_convolve(g2, g1)))
 
 
 def _over_var(phi):
@@ -320,65 +334,44 @@ def _reflect(fam):
     return BiFreeFamily(pairs[0], pairs[1])
 
 
-def _rhs_T1(fam):
-    T = fam.trunc
-    _, _, g1, g2 = _faces(fam)
+# Each right side takes the family and its _pinched(fam).
+
+def _rhs_T1(fam, p):
     return s2_compose_each_variable(
-        series_K(fam.pair(2)), TruncatedSeries1.identity(T),
-        phi_series(pinched_convolve(g2, g1)))
+        series_K(fam.pair(2)), TruncatedSeries1.identity(fam.trunc), p.g21)
 
 
-def _rhs_T2(fam):
-    T = fam.trunc
-    _, _, g1, g2 = _faces(fam)
-    phi21 = phi_series(pinched_convolve(g2, g1))
-    base = s2_compose_each_variable(
-        series_K(fam.pair(2)), TruncatedSeries1.identity(T), phi21)
-    return s2_arith(s2_from_s1(_over_var(phi21), "w"), base, "mul")
+def _rhs_T2(fam, p):
+    return s2_from_s1(_over_var(p.g21), "w") * _rhs_T1(fam, p)
 
 
-def _rhs_T3(fam):
-    T = fam.trunc
-    _, _, g1, g2 = _faces(fam)
-    phi12 = phi_series(pinched_convolve(g1, g2))
-    attached = s2_divide_monomial(_rhs_T2(fam), 0, 1)
-    attached = s2_arith(s2_from_s1(_over_var(phi12), "w"), attached, "mul")
-    bracket = s2_arith(TruncatedSeries2.one(attached.trunc_order), attached,
-                       "add")
+def _rhs_T3(fam, p):
+    attached = (s2_from_s1(_over_var(p.g12), "w")
+                * s2_divide_monomial(_rhs_T2(fam, p), 0, 1))
+    bracket = TruncatedSeries2.one(attached.trunc_order) + attached
     outer = s2_compose_each_variable(
-        series_K(fam.pair(1)), TruncatedSeries1.identity(T), phi12)
-    return s2_arith(bracket, outer, "mul")
+        series_K(fam.pair(1)), TruncatedSeries1.identity(fam.trunc), p.g12)
+    return bracket * outer
 
 
-def _s_substituted_K2(fam):
-    f1, f2, g1, g2 = _faces(fam)
-    return s2_compose_each_variable(
-        series_K(fam.pair(2)),
-        phi_series(pinched_convolve(f2, f1)),
-        phi_series(pinched_convolve(g2, g1)))
+def _rhs_S1(fam, p):
+    return s2_compose_each_variable(series_K(fam.pair(2)), p.f21, p.g21)
 
 
-def _rhs_S1(fam):
-    return _s_substituted_K2(fam)
-
-
-def _lone_factor(outer, first, second):
-    """phi_{outer}(phi_{first pinched* second}(v)) / (phi_{...}(v) / v).
+def _lone_factor(outer, phi):
+    """phi_{outer}(phi(v)) / (phi(v) / v) for a pinched series phi.
 
     This is the one-variable factor of a lone letter staying one-sided,
     with the leading v taken off (the caller reinstates it as the +1 shift
     of the monomial).
     """
-    phi = phi_series(pinched_convolve(first, second))
     comp = s1_compose(phi_series(outer), phi)
-    return s1_arith(s1_shift_down(comp), s1_reciprocal(s1_shift_down(phi)),
-                    "mul")
+    return s1_shift_down(comp) * _over_var(phi)
 
 
-def _rhs_S2(fam):
-    f1, f2, g1, g2 = _faces(fam)
-    za = _lone_factor(f2, f2, f1)
-    wb = _lone_factor(g2, g2, g1)
+def _rhs_S2(fam, p):
+    za = _lone_factor(p.f2, p.f21)
+    wb = _lone_factor(p.g2, p.g21)
     coeffs = {}
     for i, vi in za.coeffs.items():
         for j, vj in wb.coeffs.items():
@@ -386,51 +379,36 @@ def _rhs_S2(fam):
     return TruncatedSeries2(coeffs, za.trunc_order + wb.trunc_order + 2)
 
 
-def _rhs_S3(fam):
-    f1, f2, g1, g2 = _faces(fam)
-    pre = s2_arith(
-        s2_from_s1(phi_series(pinched_convolve(f1, f2)), "z"),
-        s2_from_s1(_over_var(phi_series(pinched_convolve(g2, g1))), "w"),
-        "mul")
-    return s2_arith(pre, _s_substituted_K2(fam), "mul")
+def _rhs_S3(fam, p):
+    pre = s2_from_s1(p.f12, "z") * s2_from_s1(_over_var(p.g21), "w")
+    return pre * _rhs_S1(fam, p)
 
 
-def _rhs_S4(fam):
-    f1, f2, g1, g2 = _faces(fam)
-    pre = s2_arith(
-        s2_from_s1(phi_series(pinched_convolve(g1, g2)), "w"),
-        s2_from_s1(_over_var(phi_series(pinched_convolve(f2, f1))), "z"),
-        "mul")
-    direct = s2_arith(pre, _s_substituted_K2(fam), "mul")
+def _rhs_S4(fam, p):
+    pre = s2_from_s1(p.g12, "w") * s2_from_s1(_over_var(p.f21), "z")
+    direct = pre * _rhs_S1(fam, p)
     # the left-attached sum is the z<->w mirror of the right-attached one
-    # with every pair's faces swapped; computing it both ways guards the
-    # asymmetric bookkeeping above
-    mirrored = _swap_zw(_rhs_S3(_reflect(fam)))
+    # with every pair's faces swapped; computing it both ways, from the
+    # reflected family's own pinched series, guards the asymmetric
+    # bookkeeping above
+    reflected = _reflect(fam)
+    mirrored = _swap_zw(_rhs_S3(reflected, _pinched(reflected)))
     assert direct == mirrored, "left/right mirror of the attached sums broke"
     return direct
 
 
-def _rhs_S5(fam):
-    f1, f2, g1, g2 = _faces(fam)
-    pre = s2_arith(
-        s2_from_s1(_over_var(phi_series(pinched_convolve(f2, f1))), "z"),
-        s2_from_s1(_over_var(phi_series(pinched_convolve(g2, g1))), "w"),
-        "mul")
-    return s2_arith(pre, _s_substituted_K2(fam), "mul")
+def _rhs_S5(fam, p):
+    pre = s2_from_s1(_over_var(p.f21), "z") * s2_from_s1(_over_var(p.g21), "w")
+    return pre * _rhs_S1(fam, p)
 
 
-def _rhs_S6(fam):
-    f1, f2, g1, g2 = _faces(fam)
-    lone = s2_arith(s2_arith(_rhs_S2(fam), _rhs_S3(fam), "add"),
-                    s2_arith(_rhs_S4(fam), _rhs_S5(fam), "add"), "add")
+def _rhs_S6(fam, p):
+    lone = (_rhs_S2(fam, p) + _rhs_S3(fam, p) + _rhs_S4(fam, p)
+            + _rhs_S5(fam, p))
     quot = s2_divide_monomial(lone, 1, 1)
-    phi12_f = phi_series(pinched_convolve(f1, f2))
-    phi12_g = phi_series(pinched_convolve(g1, g2))
-    pre = s2_arith(s2_from_s1(s1_reciprocal(s1_shift_down(phi12_f)), "z"),
-                   s2_from_s1(s1_reciprocal(s1_shift_down(phi12_g)), "w"),
-                   "mul")
-    outer = s2_compose_each_variable(series_K(fam.pair(1)), phi12_f, phi12_g)
-    return s2_arith(s2_arith(pre, quot, "mul"), outer, "mul")
+    pre = s2_from_s1(_over_var(p.f12), "z") * s2_from_s1(_over_var(p.g12), "w")
+    outer = s2_compose_each_variable(series_K(fam.pair(1)), p.f12, p.g12)
+    return pre * quot * outer
 
 
 def _grid_T1(T):
@@ -516,16 +494,15 @@ def check_lemma(lemma, fam):
             raise NotNormalized(
                 "class-sum identities need all face means 1; apply "
                 "rescale_pair(d, 1/d.kappa(1,0), 1/d.kappa(0,1))")
-    rhs_series = rhs_fn(fam)
-    witness = None
-    grid = []
-    for n, m in grid_fn(fam.trunc):
-        spec = PartitionClassSpec(family, n, m, subclass)
-        lhs = class_sum(spec, fam)
-        rhs = rhs_series.coeff(n + dz, m + dw)
-        grid.append({"n": n, "m": m, "lhs": str(lhs), "rhs": str(rhs)})
-        if witness is None and lhs != rhs:
-            witness = {"n": n, "m": m, "lhs": str(lhs), "rhs": str(rhs)}
+    rhs_series = rhs_fn(fam, _pinched(fam))
+    cells = grid_fn(fam.trunc)
+    lhs = TruncatedSeries2(
+        {(n, m): class_sum(PartitionClassSpec(family, n, m, subclass), fam)
+         for n, m in cells}, fam.trunc)
+    rhs = TruncatedSeries2(
+        {(n, m): rhs_series.coeff(n + dz, m + dw) for n, m in cells},
+        fam.trunc)
+    witness, grid = _compare_cells(lhs, rhs, cells)
     return {
         "lemma": lemma,
         "cells": len(grid),

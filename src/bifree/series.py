@@ -15,6 +15,7 @@ prefix, and ``compare`` reports the order actually used.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -26,25 +27,120 @@ from .errors import (
     ZWDivisionError,
 )
 
-Rational = Fraction
+_ZERO = Fraction(0)
 
 
 def as_rational(x) -> Fraction:
-    """Coerce ints, "p/q" strings and Fractions to Fraction."""
+    """Coerce ints, "p/q" strings and Fractions to Fraction.
+
+    Floats and bools are rejected with TypeError, a zero denominator with
+    ValueError: inputs are exact or refused, never converted.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+class _TruncatedSeries:
+    """Ring code shared by the one- and two-variable series.
+
+    A subclass supplies its constructor, ``coeff``, the origin key of the
+    constant term, ``_degree`` (total degree of a key), the product kernel
+    ``_product(a, b, n)`` on coefficient dicts, and ``__str__``.  Sums and
+    products truncate to the smaller order of the two operands.
+    """
+
+    __slots__ = ("trunc_order", "coeffs")
+
+    @classmethod
+    def one(cls, n: int):
+        return cls({cls._ORIGIN: 1}, n)
+
+    def _combine(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        n = min(self.trunc_order, other.trunc_order)
+        deg = self._degree
+        out = {k: v for k, v in self.coeffs.items() if deg(k) <= n}
+        for k, v in other.coeffs.items():
+            if deg(k) <= n:
+                out[k] = op(out.get(k, _ZERO), v)
+        return type(self)(out, n)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.coeffs.items()},
+                          self.trunc_order)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        n = min(self.trunc_order, other.trunc_order)
+        return type(self)(self._product(self.coeffs, other.coeffs, n), n)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, c):
+        c = as_rational(c)
+        return type(self)({k: c * v for k, v in self.coeffs.items()},
+                          self.trunc_order)
+
+    def compare(self, other) -> tuple[bool, int]:
+        """Coefficientwise comparison on the common (total-degree) prefix.
+
+        Returns (equal, order_used) where order_used = min of the two
+        truncation orders.
+        """
+        n = min(self.trunc_order, other.trunc_order)
+        deg = self._degree
+        keys = {k for k in self.coeffs if deg(k) <= n}
+        keys |= {k for k in other.coeffs if deg(k) <= n}
+        return all(self.coeffs.get(k, 0) == other.coeffs.get(k, 0)
+                   for k in keys), n
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.compare(other)[0]
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self!s}; order {self.trunc_order})"
 
 
 # ---------------------------------------------------------------------------
 # one variable
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries1:
+def _mul1(a: dict, b: dict, n: int) -> dict:
+    out = {}
+    for da, va in a.items():
+        for db, vb in b.items():
+            d = da + db
+            if d <= n:
+                out[d] = out.get(d, Fraction(0)) + va * vb
+    return out
+
+
+class TruncatedSeries1(_TruncatedSeries):
     """A series sum_{d=0}^{N} c_d z^d known exactly through degree N.
 
     ``coeffs`` maps degree -> Fraction with zero coefficients omitted;
@@ -52,7 +148,9 @@ class TruncatedSeries1:
     operation returns a new object.
     """
 
-    __slots__ = ("trunc_order", "coeffs")
+    __slots__ = ()
+    _ORIGIN = 0
+    _product = staticmethod(_mul1)
 
     def __init__(self, coeffs, trunc_order: int):
         n = int(trunc_order)
@@ -71,22 +169,14 @@ class TruncatedSeries1:
         self.trunc_order = n
         self.coeffs = clean
 
-    # -- constructors --
-
-    @classmethod
-    def zero(cls, n: int) -> "TruncatedSeries1":
-        return cls({}, n)
-
-    @classmethod
-    def one(cls, n: int) -> "TruncatedSeries1":
-        return cls({0: 1}, n)
-
     @classmethod
     def identity(cls, n: int) -> "TruncatedSeries1":
         """The series z."""
         return cls({1: 1}, n)
 
-    # -- access --
+    @staticmethod
+    def _degree(d):
+        return d
 
     def coeff(self, d: int) -> Fraction:
         if d > self.trunc_order:
@@ -96,88 +186,8 @@ class TruncatedSeries1:
             return Fraction(0)
         return self.coeffs.get(d, Fraction(0))
 
-    # -- arithmetic --
-
-    def __add__(self, other):
-        return s1_arith(self, other, "add")
-
-    def __sub__(self, other):
-        return s1_arith(self, other, "sub")
-
-    def __neg__(self):
-        return TruncatedSeries1({d: -v for d, v in self.coeffs.items()},
-                                self.trunc_order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return s1_arith(self, other, "mul")
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "TruncatedSeries1":
-        c = as_rational(c)
-        return TruncatedSeries1({d: c * v for d, v in self.coeffs.items()},
-                                self.trunc_order)
-
-    def compare(self, other) -> tuple[bool, int]:
-        """Coefficientwise comparison on the common prefix.
-
-        Returns (equal, order_used) where order_used = min of the two
-        truncation orders.
-        """
-        n = min(self.trunc_order, other.trunc_order)
-        for d in range(n + 1):
-            if self.coeffs.get(d, 0) != other.coeffs.get(d, 0):
-                return False, n
-        return True, n
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries1):
-            return NotImplemented
-        return self.compare(other)[0]
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"TruncatedSeries1({self!s}; order {self.trunc_order})"
-
     def __str__(self):
         return render_series_1(self)
-
-
-def s1_arith(a: TruncatedSeries1, b: TruncatedSeries1, op: str) -> TruncatedSeries1:
-    """Ring operation on one-variable series; result order = min of inputs."""
-    n = min(a.trunc_order, b.trunc_order)
-    if op == "add":
-        out = dict(a.coeffs)
-        for d, v in b.coeffs.items():
-            if d <= n:
-                out[d] = out.get(d, Fraction(0)) + v
-        out = {d: v for d, v in out.items() if d <= n}
-    elif op == "sub":
-        out = {d: v for d, v in a.coeffs.items() if d <= n}
-        for d, v in b.coeffs.items():
-            if d <= n:
-                out[d] = out.get(d, Fraction(0)) - v
-    elif op == "mul":
-        out = _mul1(a.coeffs, b.coeffs, n)
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    return TruncatedSeries1(out, n)
-
-
-def _mul1(a: dict, b: dict, n: int) -> dict:
-    out = {}
-    for da, va in a.items():
-        for db, vb in b.items():
-            d = da + db
-            if d <= n:
-                out[d] = out.get(d, Fraction(0)) + va * vb
-    return out
 
 
 def s1_compose(outer: TruncatedSeries1, inner: TruncatedSeries1) -> TruncatedSeries1:
@@ -251,14 +261,15 @@ def s1_shift_down(f: TruncatedSeries1) -> TruncatedSeries1:
 # two commuting variables
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries2:
+class TruncatedSeries2(_TruncatedSeries):
     """A series sum c_{n,m} z^n w^m known exactly for n + m <= N.
 
     ``coeffs`` maps (n, m) -> Fraction (zero entries omitted);
     ``trunc_order`` is the total-degree cap N.
     """
 
-    __slots__ = ("trunc_order", "coeffs")
+    __slots__ = ()
+    _ORIGIN = (0, 0)
 
     def __init__(self, coeffs, trunc_order: int):
         n = int(trunc_order)
@@ -275,13 +286,19 @@ class TruncatedSeries2:
         self.trunc_order = n
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, n: int) -> "TruncatedSeries2":
-        return cls({}, n)
+    @staticmethod
+    def _degree(key):
+        return key[0] + key[1]
 
-    @classmethod
-    def one(cls, n: int) -> "TruncatedSeries2":
-        return cls({(0, 0): 1}, n)
+    @staticmethod
+    def _product(a: dict, b: dict, n: int) -> dict:
+        out = {}
+        for (za, wa), va in a.items():
+            for (zb, wb), vb in b.items():
+                dz, dw = za + zb, wa + wb
+                if dz + dw <= n:
+                    out[(dz, dw)] = out.get((dz, dw), Fraction(0)) + va * vb
+        return out
 
     def coeff(self, dz: int, dw: int) -> Fraction:
         if dz + dw > self.trunc_order:
@@ -291,77 +308,8 @@ class TruncatedSeries2:
             return Fraction(0)
         return self.coeffs.get((dz, dw), Fraction(0))
 
-    def __add__(self, other):
-        return s2_arith(self, other, "add")
-
-    def __sub__(self, other):
-        return s2_arith(self, other, "sub")
-
-    def __neg__(self):
-        return TruncatedSeries2({k: -v for k, v in self.coeffs.items()},
-                                self.trunc_order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return s2_arith(self, other, "mul")
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "TruncatedSeries2":
-        c = as_rational(c)
-        return TruncatedSeries2({k: c * v for k, v in self.coeffs.items()},
-                                self.trunc_order)
-
-    def compare(self, other) -> tuple[bool, int]:
-        """Coefficientwise comparison on the common total-degree prefix."""
-        n = min(self.trunc_order, other.trunc_order)
-        keys = set(k for k in self.coeffs if k[0] + k[1] <= n)
-        keys |= set(k for k in other.coeffs if k[0] + k[1] <= n)
-        for k in keys:
-            if self.coeffs.get(k, 0) != other.coeffs.get(k, 0):
-                return False, n
-        return True, n
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries2):
-            return NotImplemented
-        return self.compare(other)[0]
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"TruncatedSeries2({self!s}; order {self.trunc_order})"
-
     def __str__(self):
         return render_series_2(self)
-
-
-def s2_arith(a: TruncatedSeries2, b: TruncatedSeries2, op: str) -> TruncatedSeries2:
-    n = min(a.trunc_order, b.trunc_order)
-    if op == "add":
-        out = {k: v for k, v in a.coeffs.items() if k[0] + k[1] <= n}
-        for k, v in b.coeffs.items():
-            if k[0] + k[1] <= n:
-                out[k] = out.get(k, Fraction(0)) + v
-    elif op == "sub":
-        out = {k: v for k, v in a.coeffs.items() if k[0] + k[1] <= n}
-        for k, v in b.coeffs.items():
-            if k[0] + k[1] <= n:
-                out[k] = out.get(k, Fraction(0)) - v
-    elif op == "mul":
-        out = {}
-        for (za, wa), va in a.coeffs.items():
-            for (zb, wb), vb in b.coeffs.items():
-                dz, dw = za + zb, wa + wb
-                if dz + dw <= n:
-                    out[(dz, dw)] = out.get((dz, dw), Fraction(0)) + va * vb
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    return TruncatedSeries2(out, n)
 
 
 def s2_compose_each_variable(f: TruncatedSeries2,
@@ -456,18 +404,9 @@ def s2_from_s1(f: TruncatedSeries1, var: str, trunc_order: int | None = None) ->
     raise ValueError("var must be 'z' or 'w'")
 
 
-def s2_poly(entries, trunc_order: int) -> TruncatedSeries2:
-    """Convenience constructor from {(dz, dw): value}."""
-    return TruncatedSeries2(entries, trunc_order)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
-
-def format_rational(v: Fraction) -> str:
-    return str(v)
-
 
 def _m1(d: int) -> str:
     if d == 0:

@@ -20,7 +20,8 @@ which `rescale_pair` arranges; the moment forms only need nonzero means.
 
 Divisibility by w (resp. zw) before the closing division is a structural
 consequence of the vanishing slice identities h_a(u(z)) = 1 + c_a(z) and
-h(X(z)) = 1 + z; it is asserted, never assumed.
+h(X(z)) = 1 + z; `s2_divide_monomial` checks it and raises on a violation,
+so it is never assumed.
 
 `check_T_multiplicativity` and `check_S_multiplicativity` compare the
 transform of a combined pair ((a1+a2, b1 b2), resp. (a1 a2, b1 b2)) with the
@@ -54,16 +55,13 @@ from .series import (
     TruncatedSeries1,
     TruncatedSeries2,
     as_rational,
-    s1_arith,
     s1_comp_inverse,
     s1_compose,
     s1_reciprocal,
     s1_shift_down,
-    s2_arith,
     s2_compose_each_variable,
     s2_divide_monomial,
     s2_from_s1,
-    s2_poly,
     s2_reciprocal,
 )
 
@@ -150,7 +148,7 @@ def s_transform_1var(d, method="cumulant"):
         return s1_shift_down(s1_comp_inverse(cumulant_series_1var(d)))
     x = x_series(d)
     one_plus_z = TruncatedSeries1({0: 1, 1: 1}, d.trunc - 1)
-    return s1_arith(s1_shift_down(x), one_plus_z, "mul")
+    return s1_shift_down(x) * one_plus_z
 
 
 def rescale_pair(d, lam, mu):
@@ -179,8 +177,8 @@ def partial_T(d, method="cumulant"):
     """Two-variable partial T-transform, exact through total order trunc-1.
 
     Needs the right mean equal to 1.  The moment route substitutes into the
-    moment series H and asserts the vanishing of the w^0 slice before
-    dividing; the cumulant route reads the mixed-cumulant series directly.
+    moment series H and divides by w, which fails unless the w^0 slice
+    vanishes; the cumulant route reads the mixed-cumulant series directly.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -194,29 +192,24 @@ def partial_T(d, method="cumulant"):
         expr = s2_compose_each_variable(
             series_K(d), TruncatedSeries1.identity(N), s1_comp_inverse(cb))
         t = s2_divide_monomial(expr, 0, 1)
-        return s2_arith(TruncatedSeries2.one(t.trunc_order), t, "add")
+        return TruncatedSeries2.one(t.trunc_order) + t
 
     ca = cumulant_series_1var(left_marginal(d))
-    one_plus_ca = s1_arith(TruncatedSeries1.one(N), ca, "add")
-    u = s1_arith(TruncatedSeries1.identity(N), s1_reciprocal(one_plus_ca),
-                 "mul")
+    one_plus_ca = TruncatedSeries1.one(N) + ca
+    u = TruncatedSeries1.identity(N) * s1_reciprocal(one_plus_ca)
     comp = s2_compose_each_variable(series_H(d), u, x_series(right_marginal(d)))
-    e = s2_arith(TruncatedSeries2.one(N),
-                 s2_arith(s2_from_s1(one_plus_ca, "z"), s2_reciprocal(comp),
-                          "mul"),
-                 "sub")
-    for dz in range(N + 1):
-        assert e.coeff(dz, 0) == 0, "w^0 slice of the T numerator must vanish"
+    e = (TruncatedSeries2.one(N)
+         - s2_from_s1(one_plus_ca, "z") * s2_reciprocal(comp))
     quot = s2_divide_monomial(e, 0, 1)
-    one_plus_w = s2_poly({(0, 0): 1, (0, 1): 1}, quot.trunc_order)
-    return s2_arith(one_plus_w, quot, "mul")
+    one_plus_w = TruncatedSeries2({(0, 0): 1, (0, 1): 1}, quot.trunc_order)
+    return one_plus_w * quot
 
 
 def partial_S(d, method="cumulant"):
     """Two-variable partial S-transform, exact through total order trunc-2.
 
-    Needs both means equal to 1.  The moment route asserts both axis slices
-    of the numerator vanish before dividing by zw.
+    Needs both means equal to 1.  The moment route divides the numerator
+    by zw, which fails unless both axis slices vanish.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -230,23 +223,19 @@ def partial_S(d, method="cumulant"):
         cbi = s1_comp_inverse(cumulant_series_1var(right_marginal(d)))
         expr = s2_compose_each_variable(series_K(d), cai, cbi)
         quot = s2_divide_monomial(expr, 1, 1)
-        lin = s2_poly({(0, 0): 1, (1, 0): 1, (0, 1): 1}, quot.trunc_order)
-        return s2_arith(TruncatedSeries2.one(quot.trunc_order),
-                        s2_arith(lin, quot, "mul"), "add")
+        lin = TruncatedSeries2({(0, 0): 1, (1, 0): 1, (0, 1): 1},
+                               quot.trunc_order)
+        return TruncatedSeries2.one(quot.trunc_order) + lin * quot
 
     comp = s2_compose_each_variable(
         series_H(d), x_series(left_marginal(d)), x_series(right_marginal(d)))
-    lin = s2_poly({(0, 0): 1, (1, 0): 1, (0, 1): 1}, N)
-    e = s2_arith(TruncatedSeries2.one(N),
-                 s2_arith(lin, s2_reciprocal(comp), "mul"), "sub")
-    for k in range(N + 1):
-        assert e.coeff(k, 0) == 0, "w^0 slice of the S numerator must vanish"
-        assert e.coeff(0, k) == 0, "z^0 slice of the S numerator must vanish"
+    lin = TruncatedSeries2({(0, 0): 1, (1, 0): 1, (0, 1): 1}, N)
+    e = TruncatedSeries2.one(N) - lin * s2_reciprocal(comp)
     quot = s2_divide_monomial(e, 1, 1)
     n2 = quot.trunc_order
-    corner = s2_arith(s2_poly({(0, 0): 1, (1, 0): 1}, n2),
-                      s2_poly({(0, 0): 1, (0, 1): 1}, n2), "mul")
-    return s2_arith(corner, quot, "mul")
+    corner = (TruncatedSeries2({(0, 0): 1, (1, 0): 1}, n2)
+              * TruncatedSeries2({(0, 0): 1, (0, 1): 1}, n2))
+    return corner * quot
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +256,24 @@ def _sorted_cells(cells):
 
 
 def _compare_cells(lhs, rhs, cells):
-    """Grid of coefficient comparisons; witness is the first mismatch."""
+    """Grid of coefficient comparisons; witness is the first mismatch.
+
+    A cell is (n, m) for two-variable series, or a degree for one-variable
+    series, which the grid and witness report under "degree".
+    """
     witness = None
     grid = []
-    for n, m in cells:
-        a = lhs.coeff(n, m)
-        b = rhs.coeff(n, m)
-        grid.append({"n": n, "m": m, "lhs": str(a), "rhs": str(b)})
+    for cell in cells:
+        if isinstance(cell, tuple):
+            a, b = lhs.coeff(*cell), rhs.coeff(*cell)
+            entry = {"n": cell[0], "m": cell[1]}
+        else:
+            a, b = lhs.coeff(cell), rhs.coeff(cell)
+            entry = {"degree": cell}
+        entry.update(lhs=str(a), rhs=str(b))
+        grid.append(entry)
         if witness is None and a != b:
-            witness = {"n": n, "m": m, "lhs": str(a), "rhs": str(b)}
+            witness = entry
     return witness, grid
 
 
@@ -295,8 +293,8 @@ def check_T_multiplicativity(fam, order):
         _require_right_mean(fam.pair(i))
     combined = sum_product_pair_distribution(fam, need)
     lhs = partial_T(combined, "cumulant")
-    rhs = s2_arith(partial_T(trim_pair(fam.pair1, need), "cumulant"),
-                   partial_T(trim_pair(fam.pair2, need), "cumulant"), "mul")
+    rhs = (partial_T(trim_pair(fam.pair1, need), "cumulant")
+           * partial_T(trim_pair(fam.pair2, need), "cumulant"))
     cells = _sorted_cells((n, m) for n in range(order + 1)
                           for m in range(order + 1 - n))
     witness, grid = _compare_cells(lhs, rhs, cells)
@@ -324,8 +322,8 @@ def _theta_pieces(d, big):
     a_pows = [s1_shift_down(f)]
     b_pows = [s1_shift_down(g)]
     for _ in range(big - 1):
-        a_pows.append(s1_arith(a_pows[-1], f, "mul"))
-        b_pows.append(s1_arith(b_pows[-1], g, "mul"))
+        a_pows.append(a_pows[-1] * f)
+        b_pows.append(b_pows[-1] * g)
     hat = {}
     cap = big - 1
     for n in range(1, big + 1):
@@ -359,7 +357,7 @@ def check_S_multiplicativity(fam, order, right_order="b1b2", rect=None):
         cost 2(n+m) per cell;
       * the series comparison S~ = S_1 S_2 through total order order-2,
         which exercises the whole transform pipeline including the
-        divisibility assertions.
+        divisibility checks.
 
     Expected to fail for right_order='b2b1'; the report carries the first
     differing coefficient.
@@ -391,19 +389,18 @@ def check_S_multiplicativity(fam, order, right_order="b1b2", rect=None):
     theta_c, _ = _theta_pieces(combined, big)
     theta_1, hat_1 = _theta_pieces(fam.pair1, big)
     theta_2, hat_2 = _theta_pieces(fam.pair2, big)
-    prod_hat = s2_arith(hat_1, hat_2, "mul")
+    prod_hat = hat_1 * hat_2
     shifted = TruncatedSeries2(
         {(i + 1, j + 1): v for (i, j), v in prod_hat.coeffs.items()
          if i + j + 2 <= big},
         big)
-    lin = s2_poly({(0, 0): 1, (1, 0): 1, (0, 1): 1}, big)
-    rhs = s2_arith(s2_arith(theta_1, theta_2, "add"),
-                   s2_arith(lin, shifted, "mul"), "add")
+    lin = TruncatedSeries2({(0, 0): 1, (1, 0): 1, (0, 1): 1}, big)
+    rhs = theta_1 + theta_2 + lin * shifted
     id_witness, id_grid = _compare_cells(theta_c, rhs, region)
 
     s_combined = partial_S(trim_pair(combined, order), "cumulant")
-    s_pairs = s2_arith(partial_S(trim_pair(fam.pair1, order), "cumulant"),
-                       partial_S(trim_pair(fam.pair2, order), "cumulant"), "mul")
+    s_pairs = (partial_S(trim_pair(fam.pair1, order), "cumulant")
+               * partial_S(trim_pair(fam.pair2, order), "cumulant"))
     direct_cells = _sorted_cells((n, m) for n in range(order - 1)
                                  for m in range(order - 1 - n))
     s_witness, s_grid = _compare_cells(s_combined, s_pairs, direct_cells)
@@ -429,13 +426,14 @@ def check_S_multiplicativity(fam, order, right_order="b1b2", rect=None):
 # foundational series identities
 # ---------------------------------------------------------------------------
 
-def _witness_1var(lhs, rhs):
-    n = min(lhs.trunc_order, rhs.trunc_order)
-    for d in range(n + 1):
-        a, b = lhs.coeff(d), rhs.coeff(d)
-        if a != b:
-            return {"degree": d, "lhs": str(a), "rhs": str(b)}
-    return None
+def _identity_report(identity, order, lhs, rhs, cells):
+    witness, _ = _compare_cells(lhs, rhs, cells)
+    return {
+        "identity": identity,
+        "order": order,
+        "status": "ok" if witness is None else "mismatch",
+        "witness": witness,
+    }
 
 
 def check_convolution_inversion(f, g):
@@ -443,13 +441,9 @@ def check_convolution_inversion(f, g):
     lhs = s1_compose(phi_series(pinched_convolve(f, g)),
                      s1_comp_inverse(phi_series(convolve(f, g))))
     rhs = s1_comp_inverse(phi_series(f))
-    witness = _witness_1var(lhs, rhs)
-    return {
-        "identity": "convolution-inversion",
-        "order": min(lhs.trunc_order, rhs.trunc_order),
-        "status": "ok" if witness is None else "mismatch",
-        "witness": witness,
-    }
+    order = min(lhs.trunc_order, rhs.trunc_order)
+    return _identity_report("convolution-inversion", order, lhs, rhs,
+                            range(order + 1))
 
 
 def check_inverse_product(f, g):
@@ -461,48 +455,25 @@ def check_inverse_product(f, g):
     convolution is what the surrounding derivations actually use, e.g. when
     splitting zw/(phi_{f2}^{<-1>} phi_{g2}^{<-1>}) into lone-pair factors.
     """
-    n = f.trunc
-    z = TruncatedSeries1.identity(n)
-    lhs = s1_arith(z, s1_comp_inverse(phi_series(convolve(f, g))), "mul")
-    rhs = s1_arith(s1_comp_inverse(phi_series(f)),
-                   s1_comp_inverse(phi_series(g)), "mul")
-    witness = _witness_1var(lhs, rhs)
-    return {
-        "identity": "inverse-product",
-        "order": min(lhs.trunc_order, rhs.trunc_order),
-        "status": "ok" if witness is None else "mismatch",
-        "witness": witness,
-    }
+    z = TruncatedSeries1.identity(f.trunc)
+    lhs = z * s1_comp_inverse(phi_series(convolve(f, g)))
+    rhs = s1_comp_inverse(phi_series(f)) * s1_comp_inverse(phi_series(g))
+    order = min(lhs.trunc_order, rhs.trunc_order)
+    return _identity_report("inverse-product", order, lhs, rhs,
+                            range(order + 1))
 
 
 def check_bimoment_factorization(d):
     """h_a(z) + h_b(w) = h_a h_b / H + C(z h_a(z), w h_b(w)) for the pair d."""
     N = d.trunc
     one1 = TruncatedSeries1.one(N)
-    ha = s1_arith(one1, moment_series_1var(left_marginal(d)), "add")
-    hb = s1_arith(one1, moment_series_1var(right_marginal(d)), "add")
+    ha = one1 + moment_series_1var(left_marginal(d))
+    hb = one1 + moment_series_1var(right_marginal(d))
     ha2 = s2_from_s1(ha, "z")
     hb2 = s2_from_s1(hb, "w")
-    lhs = s2_arith(ha2, hb2, "add")
+    lhs = ha2 + hb2
     z = TruncatedSeries1.identity(N)
-    composed = s2_compose_each_variable(series_C(d),
-                                        s1_arith(z, ha, "mul"),
-                                        s1_arith(z, hb, "mul"))
-    rhs = s2_arith(s2_arith(s2_arith(ha2, hb2, "mul"),
-                            s2_reciprocal(series_H(d)), "mul"),
-                   composed, "add")
-    witness = None
-    for n in range(N + 1):
-        for m in range(N + 1 - n):
-            a, b = lhs.coeff(n, m), rhs.coeff(n, m)
-            if a != b:
-                witness = {"n": n, "m": m, "lhs": str(a), "rhs": str(b)}
-                break
-        if witness:
-            break
-    return {
-        "identity": "bimoment-factorization",
-        "order": N,
-        "status": "ok" if witness is None else "mismatch",
-        "witness": witness,
-    }
+    composed = s2_compose_each_variable(series_C(d), z * ha, z * hb)
+    rhs = ha2 * hb2 * s2_reciprocal(series_H(d)) + composed
+    cells = [(n, m) for n in range(N + 1) for m in range(N + 1 - n)]
+    return _identity_report("bimoment-factorization", N, lhs, rhs, cells)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 TRIVIAL = ('{"trunc": 4, "kappa": ['
            '{"n": 1, "m": 0, "value": "1"}, {"n": 0, "m": 1, "value": "1"}]}')
 LINEAR = ('{"trunc": 4, "kappa": ['
@@ -95,6 +97,27 @@ def test_verify_s_mult_reversed_order_fails():
     assert "first difference" in out.stdout
 
 
+S_MULT_B2B1_TEXT = ("S-multiplicativity [b2b1] order 6: FAIL first difference "
+                    "at (1,0): lhs=-63/25 rhs=-27/100\n")
+S_MULT_B2B1_JSON = (
+    '{"checks": [{"name": "mixed-cumulant identity", "witness": '
+    '{"lhs": "-51/50", "m": 1, "n": 2, "rhs": "123/100"}}, '
+    '{"name": "series product", "order": 4, "witness": '
+    '{"lhs": "-63/25", "m": 0, "n": 1, "rhs": "-27/100"}}], "order": 6, '
+    '"rect": 3, "right_order": "b2b1", "seed": 1, "status": "mismatch", '
+    '"theorem": "S-multiplicativity", "witness": '
+    '{"lhs": "-63/25", "m": 0, "n": 1, "rhs": "-27/100"}}\n')
+
+
+@pytest.mark.parametrize("fmt, expected", [("text", S_MULT_B2B1_TEXT),
+                                           ("json", S_MULT_B2B1_JSON)])
+def test_verify_s_mult_witness_golden(fmt, expected):
+    out = run_cli("verify", "s-mult", "--order", "6", "--right-order", "b2b1",
+                  "--format", fmt)
+    assert out.returncode == 1
+    assert out.stdout == expected
+
+
 def test_verify_lemmas_all_pass():
     out = run_cli("verify", "lemmas", "--order", "5", "--seed", "1")
     assert out.returncode == 0
@@ -129,6 +152,7 @@ def test_usage_errors():
     assert run_cli("nc", "enumerate").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("transform", "t", "/nonexistent.json").returncode == 2
+    assert run_cli("verify", "lemmas", "--parallel").returncode == 2
 
 
 def test_malformed_table_schema():
@@ -138,6 +162,29 @@ def test_malformed_table_schema():
     assert out.stderr.startswith("error:")
     out = run_cli("transform", "t", "-", stdin="not json")
     assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+
+
+def _table(trunc=2, n=1, value='"1/2"', extra=""):
+    """Both means 1 and one mixed cell, so only the defect can fail."""
+    return (f'{{"trunc": {trunc}, "kappa": ['
+            f'{{"n": 1, "m": 0, "value": "1"}}, {{"n": 0, "m": 1, "value": "1"}}, '
+            f'{{"n": {n}, "m": 1, "value": {value}}}{extra}]}}')
+
+
+@pytest.mark.parametrize("table", [
+    _table(value="0.1"),
+    _table(value='"1/0"'),
+    _table(value="true"),
+    _table(extra=', {"n": 1, "m": 1, "value": "2"}'),
+    _table(trunc="2.7"),
+    _table(n="1.5"),
+], ids=["float", "zero-denominator", "bool", "duplicate-cell",
+        "float-trunc", "float-index"])
+def test_inexact_or_ambiguous_table_is_usage_error(table):
+    out = run_cli("transform", "t", "-", stdin=table)
+    assert out.returncode == 2
+    assert out.stdout == ""
     assert out.stderr.startswith("error:")
 
 

@@ -213,13 +213,22 @@ def test_inverse_product_pinched_variant_is_wrong():
     # the z^3 coefficient of z*phi^{<-1>} drops the f_2 contribution if the
     # left side is built from the pinched convolution instead of the plain one
     from bifree import phi_series, pinched_convolve
-    from bifree.series import TruncatedSeries1, s1_arith, s1_comp_inverse
+    from bifree.series import TruncatedSeries1, s1_comp_inverse
 
     f = MultFn([F(1), F(1), F(0)])
     g = MultFn([F(1), F(0), F(0)])
     z = TruncatedSeries1.identity(3)
-    lhs = s1_arith(z, s1_comp_inverse(phi_series(pinched_convolve(f, g))), "mul")
-    rhs = s1_arith(s1_comp_inverse(phi_series(f)),
-                   s1_comp_inverse(phi_series(g)), "mul")
+    lhs = z * s1_comp_inverse(phi_series(pinched_convolve(f, g)))
+    rhs = s1_comp_inverse(phi_series(f)) * s1_comp_inverse(phi_series(g))
     assert lhs.coeff(3) != rhs.coeff(3)
     assert check_inverse_product(f, g)["status"] == "ok"
+
+
+def test_compare_cells_one_variable_witness():
+    from bifree.series import TruncatedSeries1
+
+    lhs = TruncatedSeries1({1: 1, 2: 3}, 3)
+    rhs = TruncatedSeries1({1: 1, 2: 2}, 3)
+    witness, grid = _compare_cells(lhs, rhs, range(4))
+    assert witness == {"degree": 2, "lhs": "3", "rhs": "2"}
+    assert [cell["degree"] for cell in grid] == [0, 1, 2, 3]
