@@ -1,19 +1,18 @@
-"""Aggregated block-profile sums over constrained bi-non-crossing classes.
+"""The one lattice-sum engine: block-profile sums over bi-non-crossing classes.
 
-The product/sum cumulant formulas and the lemma-by-lemma class sums all have
-the shape
+Every sum over a partition lattice in the package has the shape
 
     sum over pi in BNC(shape) with pi v sigma = 1 and a per-block purity
-    condition, of a product over blocks of kappa-table entries,
+    condition, of a product over blocks of table entries,
 
-where the table entry a block contributes depends only on (its color, its
-number of left nodes, its number of right nodes).  The partition set does
-not depend on the table, so each (kind, n, m) cell is enumerated once and
+where the entry a block contributes depends only on (its color, its number
+of left nodes, its number of right nodes).  The partition set does not
+depend on the table, so each (kind, n, m) cell is enumerated once and
 collapsed to a counter
 
     subclass tag -> { sorted tuple of (color, #lefts, #rights) : count }
 
-which any number of cumulant tables can then be evaluated against.
+which any number of tables can then be evaluated against (`weigh`).
 
 Enumeration walks positions in the chi-permuted order keeping a stack of
 open blocks (the standard non-crossing sweep: a new element either opens a
@@ -34,6 +33,21 @@ Colors encode the alternation pattern of the product word: for the standard
 words (left string a1 a2 a1 ... and right string b1 b2 b1 ...) the color of
 a node is the parity of its index, and a block's color decides which pair's
 cumulant it reads.  The flipped-right kind serves the reversed right word.
+
+Two kinds turn the plain lattice sums into weighings of the sweep:
+
+  * "bnc": all of BNC(n, m), with one sigma-group and no colors, so no
+    prune fires.  Moments weigh it with the cumulant table.
+  * "kreweras": the flipped-right layout of (n, m).  Its 2(n+m) points
+    alternate in color and sigma pairs each color-1 point with the next
+    color-2 point, so the pure partitions joined to sigma are exactly
+    pi u K(pi) for pi in BNC(n, m) (`ncpart.unique_complement_check`
+    brute-forces this bijection): color 1 carries pi, color 2 K(pi).
+    Leaves are tagged "pinched" when {1} is a singleton of pi, else
+    "rest".  Convolutions (m = 0) and the Mobius inversion weigh it.
+
+BIFREE_CAP bounds the lattice: `weigh` checks it against the swept size K,
+but for "kreweras" against n + m, the ground set of pi.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._caps import check_cap
+from .errors import InvariantViolation
 
 # block fields
 _FIRST, _LAST, _COLOR, _NL, _NR, _MINLAB, _REP = range(7)
@@ -74,7 +89,7 @@ def _layout(kind, n, m):
         lcolor = lambda k: 0
         rcolor = lambda j: 1 if j % 2 else 2
         purity, tag_mode = "rights", "none"
-    elif kind in ("S", "S_flip_right"):
+    elif kind in ("S", "S_flip_right", "kreweras"):
         if n < 0 or m < 0 or n + m < 1:
             raise ValueError(f"kind {kind} needs n, m >= 0 with n+m >= 1")
         L, R = 2 * n, 2 * m
@@ -87,7 +102,7 @@ def _layout(kind, n, m):
             tag_mode = "S" if n >= 1 and m >= 1 else "none"
         else:
             rcolor = lambda j: 2 if j % 2 else 1
-            tag_mode = "none"
+            tag_mode = "pinched" if kind == "kreweras" else "none"
         purity = "both"
     elif kind == "S_primed":
         if n < 0 or m < 0:
@@ -99,6 +114,14 @@ def _layout(kind, n, m):
         lcolor = lambda k: 1 if k % 2 else 2
         rcolor = lambda j: 1 if j % 2 else 2
         purity, tag_mode = "both", "Sprime"
+    elif kind == "bnc":
+        if n < 0 or m < 0 or n + m < 1:
+            raise ValueError("kind bnc needs n, m >= 0 with n+m >= 1")
+        L, R = n, m
+        lgroup = rgroup = lambda k: 0
+        n_groups = 1
+        lcolor = rcolor = lambda k: 0
+        purity, tag_mode = "both", "none"
     else:
         raise ValueError(f"unknown class kind {kind!r}")
 
@@ -129,10 +152,11 @@ def class_profiles(kind, n, m, max_block):
 
     Tags: kind "T" -> 1/2 (color of the rights in the block of the first
     left node); "S" -> 1/2 (color of the topmost two-sided block);
-    "S_primed" -> "o0"/"or"/"ol"/"olr"; otherwise "all".
+    "S_primed" -> "o0"/"or"/"ol"/"olr"; "kreweras" -> "pinched"/"rest"
+    (whether {1} is a singleton of pi); otherwise "all".  The cap is
+    checked by `weigh`, in front of this cache.
     """
     K, L, colors, sid, labels, group_last, purity, tag_mode = _layout(kind, n, m)
-    check_cap(K, f"class {kind} cell ({n},{m})")
     rights_only = purity == "rights"
 
     parent = list(range(len(group_last)))
@@ -187,14 +211,17 @@ def class_profiles(kind, n, m, max_block):
                 if blk[_FIRST] == 0:
                     tag = blk[_COLOR]
                     break
-            assert tag, "block of the first left node has no rights at a leaf"
+            if not tag:
+                raise InvariantViolation(
+                    "block of the first left node has no rights at a leaf")
         elif tag_mode == "S":
             best = None
             for blk in blocks:
                 if blk[_NL] and blk[_NR]:
                     if best is None or blk[_MINLAB] < best[_MINLAB]:
                         best = blk
-            assert best is not None, "no two-sided block at a leaf"
+            if best is None:
+                raise InvariantViolation("no two-sided block at a leaf")
             tag = best[_COLOR]
         elif tag_mode == "Sprime":
             b0 = blast = None
@@ -212,8 +239,12 @@ def class_profiles(kind, n, m, max_block):
             elif blast[_NL] == 0:
                 tag = "ol"
             else:
-                raise AssertionError(
+                raise InvariantViolation(
                     "blocks of the two first nodes both two-sided yet distinct")
+        elif tag_mode == "pinched":
+            # the block holding position 0 is pi's block of 1; it is {1}
+            # exactly when it also ends there
+            tag = "pinched" if any(blk[_LAST] == 0 for blk in blocks) else "rest"
         else:
             tag = "all"
         profile = tuple(sorted((blk[_COLOR], blk[_NL], blk[_NR]) for blk in blocks))
@@ -297,23 +328,30 @@ def class_profiles(kind, n, m, max_block):
     return results
 
 
-def weigh(profiles, block_value):
-    """Sum count * prod block_value(color, nl, nr) over a profile counter."""
+def weigh(kind, n, m, max_block, block_value, tag=None):
+    """Sum count * prod block_value(color, nl, nr) over the profiles of one
+    cell: every bucket, or only the bucket of `tag`.
+
+    The cap is checked on every call, so whether a cell is refused does not
+    depend on whether it was swept and cached before.
+    """
+    if kind in ("bnc", "kreweras"):
+        ground = n + m
+    elif kind in ("T", "T_primed"):
+        ground = n + 2 * m + (kind == "T_primed")
+    else:
+        ground = 2 * (n + m) + 2 * (kind == "S_primed")
+    check_cap(ground, f"class {kind} cell ({n},{m})")
+    buckets = class_profiles(kind, n, m, max_block)
+    chosen = buckets.values() if tag is None else [buckets.get(tag, {})]
     total = Fraction(0)
-    for prof, cnt in profiles.items():
-        v = Fraction(1)
-        for color, nl, nr in prof:
-            v *= block_value(color, nl, nr)
-            if not v:
-                break
-        if v:
-            total += cnt * v
+    for profiles in chosen:
+        for prof, cnt in profiles.items():
+            v = Fraction(1)
+            for color, nl, nr in prof:
+                v *= block_value(color, nl, nr)
+                if not v:
+                    break
+            if v:
+                total += cnt * v
     return total
-
-
-def class_size(kind, n, m, max_block=10 ** 9):
-    """Number of partitions in the cell (optionally below a block-size cap)."""
-    out = {}
-    for tag, bucket in class_profiles(kind, n, m, max_block).items():
-        out[tag] = sum(bucket.values())
-    return out

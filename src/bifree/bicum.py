@@ -7,6 +7,10 @@ each other through the bi-non-crossing lattice:
     M_{n,m} = sum over pi in BNC(n,m) of prod over blocks V of kappa_{|V_l|,|V_r|}
     kappa_{n,m} = sum over pi of mu(pi, 1) prod over blocks of M_{|V_l|,|V_r|}
 
+Both are weighings of the `_classsum` sweep: the moment sum weighs the
+"bnc" cell (n, m), and the inversion weighs the "kreweras" cell, where
+mu(pi, 1) is the product over the blocks W of K(pi) of mu(0_|W|, 1_|W|).
+
 For two pairs (a1,b1), (a2,b2) with vanishing mixed cumulants, the cumulants
 of combined pairs are class sums over constrained partitions (see _classsum):
 
@@ -24,11 +28,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 
-from ._caps import check_cap
-from ._classsum import class_profiles, weigh
-from .bnc import BNCPartition, BNCShape, enumerate_bnc, mobius_bnc
+from ._classsum import weigh
+from .bnc import _mobius_0_1
 from .errors import SizeMismatch, TruncationExceeded
 from .series import TruncatedSeries2, as_rational
 
@@ -142,20 +144,6 @@ class BiFreeFamily:
         raise ValueError("pair index must be 1 or 2")
 
 
-@lru_cache(maxsize=None)
-def _bnc_profiles(n, m):
-    """Block-size profiles {sorted((nl,nr),...): count} over all of BNC(n,m)."""
-    out = {}
-    for pi in enumerate_bnc(BNCShape.chi(n, m)):
-        prof = []
-        for blk in pi.blocks:
-            nl = sum(1 for p in blk if p <= n)
-            prof.append((nl, len(blk) - nl))
-        key = tuple(sorted(prof))
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 def moments_from_cumulants(d, n, m):
     """The ordered moment M_{n,m} = phi(a^n b^m) of the pair d.
 
@@ -168,15 +156,7 @@ def moments_from_cumulants(d, n, m):
     if n + m > d.trunc:
         raise TruncationExceeded(
             f"moment ({n},{m}) needs cumulants beyond order {d.trunc}")
-    total = _ZERO
-    for prof, count in _bnc_profiles(n, m).items():
-        term = Fraction(count)
-        for nl, nr in prof:
-            term *= d.kappa(nl, nr)
-            if not term:
-                break
-        total += term
-    return total
+    return weigh("bnc", n, m, n + m, lambda _, nl, nr: d.kappa(nl, nr))
 
 
 def cumulants_from_moments(moments):
@@ -192,20 +172,14 @@ def cumulants_from_moments(moments):
         for m in range(trunc + 1 - n):
             if n + m >= 1 and (n, m) not in moments:
                 raise ValueError(f"moment table is missing ({n},{m})")
-    kappa = {}
-    for (n, m) in moments:
-        shape = BNCShape.chi(n, m)
-        one = BNCPartition(shape, (tuple(range(1, n + m + 1)),))
-        total = _ZERO
-        for pi in enumerate_bnc(shape):
-            term = mobius_bnc(pi, one)
-            for blk in pi.blocks:
-                nl = sum(1 for p in blk if p <= n)
-                nr = len(blk) - nl
-                term *= _ONE if (nl, nr) == (0, 0) else moments[(nl, nr)]
-            total += term
-        kappa[(n, m)] = total
-    return PairDistribution(trunc, kappa)
+
+    def block_value(color, nl, nr):
+        # color 1: a block of pi; color 2: a block of K(pi)
+        return moments[(nl, nr)] if color == 1 else _mobius_0_1(nl + nr)
+
+    return PairDistribution(trunc, {
+        (n, m): weigh("kreweras", n, m, n + m, block_value)
+        for (n, m) in moments})
 
 
 def series_H(d, trunc=None):
@@ -261,10 +235,7 @@ def _class_cumulant(fam, kind, n, m):
     def block_value(color, nl, nr):
         return pairs[color].kappa(nl, nr)
 
-    total = _ZERO
-    for bucket in class_profiles(kind, n, m, fam.trunc).values():
-        total += weigh(bucket, block_value)
-    return total
+    return weigh(kind, n, m, fam.trunc, block_value)
 
 
 def sum_product_pair_cumulants(fam, n, m):

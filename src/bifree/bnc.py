@@ -194,13 +194,16 @@ def sigma_doubling(kind, n, m):
 
 # -- Mobius function ----------------------------------------------------------
 
+def _mobius_0_1(k):
+    """mu(0_k, 1_k) = (-1)^(k-1) Catalan(k-1) in NC(k)."""
+    return -catalan(k - 1) if (k - 1) % 2 else catalan(k - 1)
+
+
 def _mobius_nc_to_full(nc):
     """mu(pi, 1_n) in NC(n) via the Kreweras factorization of [pi, 1_n]."""
     out = Fraction(1)
     for v in kreweras(nc).blocks:
-        k = len(v)
-        sign = -1 if (k - 1) % 2 else 1
-        out *= sign * catalan(k - 1)
+        out *= _mobius_0_1(len(v))
     return out
 
 

@@ -63,3 +63,7 @@ class ZWDivisionError(BifreeError):
 
 class InvalidSubclass(BifreeError):
     """Unknown subclass label for a partition class."""
+
+
+class InvariantViolation(BifreeError):
+    """An internal structural check failed: a bug, not a bad input."""

@@ -8,17 +8,18 @@ convolutions implemented here are
     (f *v g)(0_n, 1_n)   = sum over pi in NC'(n) of f(0, pi) g(0, K(pi))
 
 (*v is the "pinched" variant restricted to partitions with {1} a singleton;
-it is not commutative).
+it is not commutative).  Both weigh the "kreweras" cell (n, 0) of the class
+sweep in `_classsum`, whose color-1 blocks are those of pi and whose color-2
+blocks are those of K(pi): f reads color 1, g color 2, and the pinched
+variant keeps the "pinched" bucket only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from ._caps import check_cap
+from ._classsum import weigh
 from .errors import NotNormalized, TruncationExceeded
-from .ncpart import enumerate_nc, kreweras
 from .series import TruncatedSeries1, as_rational
 
 
@@ -57,56 +58,30 @@ def eval_on(f, pi):
     return out
 
 
-@lru_cache(maxsize=None)
-def _kreweras_profiles(n):
-    """Aggregated (block sizes of pi, block sizes of K(pi)) data for NC(n).
-
-    Returns {(sizes_pi, sizes_K, pinched): count} where pinched records
-    whether {1} is a singleton block of pi.  Convolutions only consume block
-    sizes, so this collapses the lattice once per n.
-    """
-    profiles = {}
-    for pi in enumerate_nc(n):
-        k = kreweras(pi)
-        key = (tuple(pi.block_sizes()), tuple(k.block_sizes()),
-               pi.blocks[0] == (1,))
-        profiles[key] = profiles.get(key, 0) + 1
-    return profiles
-
-
-def _product(f, sizes):
-    out = Fraction(1)
-    for s in sizes:
-        out *= f.value(s)
-    return out
-
-
-def _convolve(f, g, name, pinched_only):
+def _convolve(f, g, pinched_only):
     """Sum over NC(n) (NC'(n) when pinched_only) of f(0, pi) g(0, K(pi))."""
     if f.trunc != g.trunc:
         raise TruncationExceeded(
             f"truncation mismatch: {f.trunc} vs {g.trunc}")
     if pinched_only and not (f.is_normalized() and g.is_normalized()):
         raise NotNormalized("pinched convolution needs f_1 = g_1 = 1")
-    check_cap(f.trunc, f"{name} at order {f.trunc}")
-    out = []
-    for n in range(1, f.trunc + 1):
-        acc = Fraction(0)
-        for (sp, sk, pinched), cnt in _kreweras_profiles(n).items():
-            if pinched or not pinched_only:
-                acc += cnt * _product(f, sp) * _product(g, sk)
-        out.append(acc)
-    return MultFn(out)
+
+    def block_value(color, size, _):
+        return (f if color == 1 else g).value(size)
+
+    tag = "pinched" if pinched_only else None
+    return MultFn([weigh("kreweras", n, 0, n, block_value, tag)
+                   for n in range(1, f.trunc + 1)])
 
 
 def convolve(f, g):
     """The convolution f * g, computed degree by degree."""
-    return _convolve(f, g, "convolve", pinched_only=False)
+    return _convolve(f, g, pinched_only=False)
 
 
 def pinched_convolve(f, g):
     """The pinched convolution f *v g over NC'(n); order matters."""
-    return _convolve(f, g, "pinched_convolve", pinched_only=True)
+    return _convolve(f, g, pinched_only=True)
 
 
 def phi_series(f):

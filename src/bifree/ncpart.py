@@ -3,7 +3,9 @@
 Enumeration, the reverse-refinement order, join-connectivity, the Kreweras
 complement (built by the interleaving construction), the sublattice NC'(n)
 of partitions having {1} as a block, and the brute-force uniqueness check
-for complements of NC'(n) elements.
+for the complement of any element of NC(n).  The package's lattice sums
+run on the `_classsum` sweep; the objects here serve the CLI listings and
+the tests' brute-force references.
 """
 
 from __future__ import annotations
@@ -217,15 +219,14 @@ def kreweras(pi):
 def unique_complement_check(pi):
     """Brute-force the defining property of the Kreweras complement.
 
-    For pi in NC'(n), search all tau in NC(n) (on the primed points) for
+    For pi in NC(n), search all tau in NC(n) (on the primed points) for
     which the interleaved union pi cup tau (order 1, 1', 2, 2', ..., n, n')
     is non-crossing and joins with the pairing {{k, k'}} to the full
     partition.  Exactly one tau must survive, and it must be kreweras(pi);
-    anything else raises UniquenessViolation.
+    anything else raises UniquenessViolation.  This is the bijection the
+    "kreweras" kind of the class sweep rests on.
     """
     n = pi.n
-    if pi.blocks[0] != (1,):
-        raise ValueError("pi must have {1} as a singleton block (pi in NC'(n))")
     pairing = [(2 * k - 1, 2 * k) for k in range(1, n + 1)]
     pi_blocks = [tuple(2 * x - 1 for x in b) for b in pi.blocks]
     found = []

@@ -32,12 +32,13 @@ from typing import NamedTuple
 
 from fractions import Fraction
 
-from ._classsum import class_profiles, class_size, weigh
+from ._classsum import weigh
 from .bicum import BiFreeFamily, PairDistribution, series_K
 from .bnc import enumerate_bnc, sigma_doubling
 from .errors import (
     InvalidSize,
     InvalidSubclass,
+    InvariantViolation,
     NotNormalized,
     TruncationExceeded,
 )
@@ -64,7 +65,7 @@ _SUBCLASSES = {
     "S_primed": ("all", "o0", "or", "ol", "olr"),
 }
 
-# engine tags for the split subclasses ('all' is handled by summing buckets)
+# engine tags for the split subclasses ('all' weighs every bucket)
 _TAG_KEY = {"e": 2, "o": 1, "o0": "o0", "or": "or", "ol": "ol", "olr": "olr"}
 
 # which pair a block of engine color 1/2 draws its cumulant from; the primed
@@ -167,7 +168,9 @@ def _purity_and_tag(family, n, m, pi):
         if n == 0:
             return True, "all"
         _, rights = _block_split(L, block_of[1])
-        assert rights, "join-connected T block of the first left has rights"
+        if not rights:
+            raise InvariantViolation(
+                "join-connected T block of the first left has no rights")
         return True, "o" if rights[0] % 2 else "e"
     if family == "T_primed":
         return True, "all"
@@ -181,7 +184,8 @@ def _purity_and_tag(family, n, m, pi):
                 lab = min(min(lefts), min(rights))
                 if best is None or lab < best[0]:
                     best = (lab, lefts[0])
-        assert best is not None, "no two-sided block in a connected S class"
+        if best is None:
+            raise InvariantViolation("no two-sided block in a connected S class")
         return True, "o" if best[1] % 2 else "e"
     b0 = block_of[1]
     blast = block_of[L + 1]
@@ -195,7 +199,7 @@ def _purity_and_tag(family, n, m, pi):
         return True, "or"
     if not blast_lefts:
         return True, "ol"
-    raise AssertionError("both lone-letter blocks two-sided yet distinct")
+    raise InvariantViolation("both lone-letter blocks two-sided yet distinct")
 
 
 def enumerate_class(spec):
@@ -228,8 +232,9 @@ def psi_sum(spec, fam):
             lefts, rights = _block_split(L, b)
             if rights:
                 pair = por(rights[0])
+            elif pol is None:
+                raise InvariantViolation("all-left block in a T-family class")
             else:
-                assert pol is not None, "all-left block in a T-family class"
                 pair = pol(lefts[0])
             term *= fam.pair(pair).kappa(len(lefts), len(rights))
         total += term
@@ -260,24 +265,21 @@ def class_sum(spec, fam, max_block=None):
             f"of size {bound}, beyond tables of order {fam.trunc}")
     if max_block is None:
         max_block = bound
-    buckets = class_profiles(spec.family, spec.n, spec.m, max_block)
     pair_of = _PAIR_OF_COLOR[spec.family]
 
     def block_value(color, nl, nr):
         return fam.pair(pair_of[color]).kappa(nl, nr)
 
-    if spec.subclass == "all":
-        return sum((weigh(profiles, block_value)
-                    for profiles in buckets.values()), Fraction(0))
-    return weigh(buckets.get(_TAG_KEY[spec.subclass], {}), block_value)
+    tag = None if spec.subclass == "all" else _TAG_KEY[spec.subclass]
+    return weigh(spec.family, spec.n, spec.m, max_block, block_value, tag)
 
 
 def class_count(spec):
     """Number of partitions in the class, via the sweep."""
-    sizes = class_size(spec.family, spec.n, spec.m)
-    if spec.subclass == "all":
-        return sum(sizes.values())
-    return sizes.get(_TAG_KEY[spec.subclass], 0)
+    tag = None if spec.subclass == "all" else _TAG_KEY[spec.subclass]
+    return int(weigh(spec.family, spec.n, spec.m,
+                     _max_block(spec.family, spec.n, spec.m),
+                     lambda *_: 1, tag))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,8 @@ def _rhs_S4(fam, p):
     # bookkeeping above
     reflected = _reflect(fam)
     mirrored = _swap_zw(_rhs_S3(reflected, _pinched(reflected)))
-    assert direct == mirrored, "left/right mirror of the attached sums broke"
+    if direct != mirrored:
+        raise InvariantViolation("left/right mirror of the attached sums broke")
     return direct
 
 

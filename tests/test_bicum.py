@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 from bifree import (
     BiFreeFamily,
+    BNCPartition,
+    BNCShape,
     PairDistribution,
     cumulants_from_moments,
+    enumerate_bnc,
+    mobius_bnc,
     moments_from_cumulants,
     product_pair_cumulants,
     product_pair_distribution,
@@ -42,6 +46,45 @@ def test_moments_low_cells():
     assert moments_from_cumulants(d, 2, 0) == 7 + 4
     expected_21 = 11 + 7 * 3 + 2 * (5 * 2) + 4 * 3
     assert moments_from_cumulants(d, 2, 1) == expected_21
+
+
+def _block_sides(n, blk):
+    nl = sum(1 for p in blk if p <= n)
+    return nl, len(blk) - nl
+
+
+def test_moments_match_bnc_enumeration():
+    rng = random.Random(41)
+    d = random_pair_distribution(rng, 7)
+    for n in range(8):
+        for m in range(8 - n):
+            if n + m < 1:
+                continue
+            expected = F(0)
+            for pi in enumerate_bnc(BNCShape.chi(n, m)):
+                term = F(1)
+                for blk in pi.blocks:
+                    term *= d.kappa(*_block_sides(n, blk))
+                expected += term
+            assert moments_from_cumulants(d, n, m) == expected, (n, m)
+
+
+def test_cumulants_match_mobius_sum():
+    # an arbitrary table, not the moments of any cumulant table
+    rng = random.Random(43)
+    moments = {(n, m): F(rng.randint(-6, 6), rng.randint(1, 5))
+               for n in range(7) for m in range(7 - n) if n + m >= 1}
+    got = cumulants_from_moments(moments)
+    for (n, m) in moments:
+        shape = BNCShape.chi(n, m)
+        one = BNCPartition(shape, (tuple(range(1, n + m + 1)),))
+        expected = F(0)
+        for pi in enumerate_bnc(shape):
+            term = mobius_bnc(pi, one)
+            for blk in pi.blocks:
+                term *= moments[_block_sides(n, blk)]
+            expected += term
+        assert got.kappa(n, m) == expected, (n, m)
 
 
 def test_round_trip_random_tables():

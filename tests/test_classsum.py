@@ -6,14 +6,25 @@ import pytest
 
 from bifree import (
     FAMILIES,
+    MultFn,
     PartitionClassSpec,
     class_count,
     class_sum,
+    convolve,
+    cumulants_from_moments,
     enumerate_class,
+    moments_from_cumulants,
+    pinched_convolve,
     psi_sum,
     random_family,
+    random_pair_distribution,
 )
-from bifree.errors import InvalidSize, InvalidSubclass, TruncationExceeded
+from bifree.errors import (
+    CapExceeded,
+    InvalidSize,
+    InvalidSubclass,
+    TruncationExceeded,
+)
 from bifree.oracle import _SUBCLASSES
 
 
@@ -100,3 +111,25 @@ def test_truncation_guard():
     # a (4,1) T-cell can hold a block with 4 lefts and a right
     with pytest.raises(TruncationExceeded):
         class_sum(PartitionClassSpec("T", 4, 1), fam)
+
+
+def test_cap_bounds_the_lattice_not_the_sweep(monkeypatch):
+    d = random_pair_distribution(random.Random(3), 9)
+    # swept and cached at the default cap; the lower cap must still refuse it
+    moments_from_cumulants(d, 5, 4)
+    # a "kreweras" cell sweeps 2(n+m) points for a lattice on n+m; the cap
+    # counts the lattice, so order 8 passes under BIFREE_CAP=8
+    monkeypatch.setenv("BIFREE_CAP", "8")
+    ones = MultFn([1] * 8)
+    assert convolve(ones, ones).value(8) == 1430  # |NC(8)|
+    assert pinched_convolve(ones, ones).value(8) == 429  # |NC'(8)|
+    moments_from_cumulants(d, 4, 4)
+    with pytest.raises(CapExceeded):
+        convolve(MultFn([1] * 9), MultFn([1] * 9))
+    with pytest.raises(CapExceeded):
+        pinched_convolve(MultFn([1] * 9), MultFn([1] * 9))
+    with pytest.raises(CapExceeded):
+        moments_from_cumulants(d, 5, 4)
+    with pytest.raises(CapExceeded):
+        cumulants_from_moments({(n, m): 1 for n in range(10)
+                                for m in range(10 - n) if n + m >= 1})

@@ -1,5 +1,6 @@
 """Multiplicative functions on NC and their two convolutions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from bifree import (
     MultFn,
     convolve,
+    enumerate_nc,
+    enumerate_nc_prime,
     eval_on,
+    kreweras,
     multfn_from_json,
     multfn_to_json,
     partition_from_text,
@@ -52,6 +56,24 @@ def test_convolve_commutes(fv, gv):
     f = MultFn([F(1)] + fv)
     g = MultFn([F(1)] + gv)
     assert convolve(f, g) == convolve(g, f)
+
+
+def test_convolutions_match_brute_force():
+    # the sweep's "kreweras" cells against NC(n) objects and their complements
+    rng = random.Random(29)
+
+    def rand_multfn(trunc):
+        return MultFn([F(1)] + [F(rng.randint(-5, 5), rng.randint(1, 4))
+                                for _ in range(trunc - 1)])
+
+    for trunc in range(1, 8):
+        f, g = rand_multfn(trunc), rand_multfn(trunc)
+        c, p = convolve(f, g), pinched_convolve(f, g)
+        for n in range(1, trunc + 1):
+            assert c.value(n) == sum(eval_on(f, pi) * eval_on(g, kreweras(pi))
+                                     for pi in enumerate_nc(n))
+            assert p.value(n) == sum(eval_on(f, pi) * eval_on(g, kreweras(pi))
+                                     for pi in enumerate_nc_prime(n))
 
 
 def test_pinched_low_orders():

@@ -84,11 +84,11 @@ def test_kreweras_squared_is_rotation(p):
 
 
 def test_unique_complement_small():
-    # for pi with {1} a singleton, exactly one tau interleaves non-crossingly
-    # with pi and joins the doubling pairing to the full partition -- and it
-    # is the Kreweras complement
+    # for every pi in NC(n), exactly one tau interleaves non-crossingly with
+    # pi and joins the doubling pairing to the full partition -- and it is
+    # the Kreweras complement
     for n in range(1, 7):
-        for p in enumerate_nc_prime(n):
+        for p in enumerate_nc(n):
             assert unique_complement_check(p) == kreweras(p)
 
 
