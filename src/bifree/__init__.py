@@ -59,8 +59,6 @@ from .multfn import (
     MultFn,
     convolve,
     eval_on,
-    multfn_from_json,
-    multfn_to_json,
     phi_series,
     pinched_convolve,
 )
@@ -96,13 +94,11 @@ from .bicum import (
     sum_product_pair_distribution,
 )
 from .transforms import (
-    OneVarDistribution,
     check_S_multiplicativity,
     check_T_multiplicativity,
     check_bimoment_factorization,
     check_convolution_inversion,
     check_inverse_product,
-    cumulant_series_1var,
     left_marginal,
     moment_series_1var,
     partial_S,

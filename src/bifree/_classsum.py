@@ -16,14 +16,11 @@ which any number of tables can then be evaluated against (`weigh`).
 
 Enumeration walks positions in the chi-permuted order keeping a stack of
 open blocks (the standard non-crossing sweep: a new element either opens a
-block or joins an open one, closing every block nested above it).  Three
+block or joins an open one, closing every block nested above it).  Two
 prunes keep the walk far below the raw Catalan count:
 
   * color purity: a block may only absorb nodes of its color (for the
     T-shaped kinds only right nodes are colored);
-  * max_block: blocks larger than the kappa table's truncation would
-    contribute a zero factor, so such branches are dropped when the cell is
-    built for a specific table size;
   * connectivity death: union-find over the sigma-classes, merged as blocks
     span them, with an undo trail.  When a block closes inside a class with
     no other open block and no unprocessed position, the join with sigma
@@ -147,14 +144,14 @@ def _layout(kind, n, m):
 
 
 @lru_cache(maxsize=None)
-def class_profiles(kind, n, m, max_block):
+def class_profiles(kind, n, m):
     """{tag: {profile: count}} for one cell of a partition class.
 
-    Tags: kind "T" -> 1/2 (color of the rights in the block of the first
-    left node); "S" -> 1/2 (color of the topmost two-sided block);
-    "S_primed" -> "o0"/"or"/"ol"/"olr"; "kreweras" -> "pinched"/"rest"
-    (whether {1} is a singleton of pi); otherwise "all".  The cap is
-    checked by `weigh`, in front of this cache.
+    Tags: kind "T" -> "o"/"e" (color 1/2 of the rights in the block of the
+    first left node); "S" -> "o"/"e" (color 1/2 of the topmost two-sided
+    block); "S_primed" -> "o0"/"or"/"ol"/"olr"; "kreweras" ->
+    "pinched"/"rest" (whether {1} is a singleton of pi); otherwise "all".
+    The cap is checked by `weigh`, in front of this cache.
     """
     K, L, colors, sid, labels, group_last, purity, tag_mode = _layout(kind, n, m)
     rights_only = purity == "rights"
@@ -206,14 +203,11 @@ def class_profiles(kind, n, m, max_block):
             return
         blocks = closed + stack
         if tag_mode == "T":
-            tag = None
-            for blk in blocks:
-                if blk[_FIRST] == 0:
-                    tag = blk[_COLOR]
-                    break
-            if not tag:
+            color = next(blk[_COLOR] for blk in blocks if blk[_FIRST] == 0)
+            if not color:
                 raise InvariantViolation(
                     "block of the first left node has no rights at a leaf")
+            tag = "o" if color == 1 else "e"
         elif tag_mode == "S":
             best = None
             for blk in blocks:
@@ -222,7 +216,7 @@ def class_profiles(kind, n, m, max_block):
                         best = blk
             if best is None:
                 raise InvariantViolation("no two-sided block at a leaf")
-            tag = best[_COLOR]
+            tag = "o" if best[_COLOR] == 1 else "e"
         elif tag_mode == "Sprime":
             b0 = blast = None
             for blk in blocks:
@@ -288,8 +282,6 @@ def class_profiles(kind, n, m, max_block):
                     ok = False
             elif bcol != col:
                 ok = False
-            if ok and blk[_NL] + blk[_NR] >= max_block:
-                ok = False
             if ok:
                 saved = (blk[_LAST], blk[_COLOR], blk[_NL], blk[_NR],
                          blk[_MINLAB])
@@ -328,7 +320,7 @@ def class_profiles(kind, n, m, max_block):
     return results
 
 
-def weigh(kind, n, m, max_block, block_value, tag=None):
+def weigh(kind, n, m, block_value, tag=None):
     """Sum count * prod block_value(color, nl, nr) over the profiles of one
     cell: every bucket, or only the bucket of `tag`.
 
@@ -342,7 +334,7 @@ def weigh(kind, n, m, max_block, block_value, tag=None):
     else:
         ground = 2 * (n + m) + 2 * (kind == "S_primed")
     check_cap(ground, f"class {kind} cell ({n},{m})")
-    buckets = class_profiles(kind, n, m, max_block)
+    buckets = class_profiles(kind, n, m)
     chosen = buckets.values() if tag is None else [buckets.get(tag, {})]
     total = Fraction(0)
     for profiles in chosen:

@@ -156,7 +156,7 @@ def moments_from_cumulants(d, n, m):
     if n + m > d.trunc:
         raise TruncationExceeded(
             f"moment ({n},{m}) needs cumulants beyond order {d.trunc}")
-    return weigh("bnc", n, m, n + m, lambda _, nl, nr: d.kappa(nl, nr))
+    return weigh("bnc", n, m, lambda _, nl, nr: d.kappa(nl, nr))
 
 
 def cumulants_from_moments(moments):
@@ -178,7 +178,7 @@ def cumulants_from_moments(moments):
         return moments[(nl, nr)] if color == 1 else _mobius_0_1(nl + nr)
 
     return PairDistribution(trunc, {
-        (n, m): weigh("kreweras", n, m, n + m, block_value)
+        (n, m): weigh("kreweras", n, m, block_value)
         for (n, m) in moments})
 
 
@@ -235,7 +235,7 @@ def _class_cumulant(fam, kind, n, m):
     def block_value(color, nl, nr):
         return pairs[color].kappa(nl, nr)
 
-    return weigh(kind, n, m, fam.trunc, block_value)
+    return weigh(kind, n, m, block_value)
 
 
 def sum_product_pair_cumulants(fam, n, m):

@@ -70,7 +70,7 @@ def _convolve(f, g, pinched_only):
         return (f if color == 1 else g).value(size)
 
     tag = "pinched" if pinched_only else None
-    return MultFn([weigh("kreweras", n, 0, n, block_value, tag)
+    return MultFn([weigh("kreweras", n, 0, block_value, tag)
                    for n in range(1, f.trunc + 1)])
 
 
@@ -88,11 +88,3 @@ def phi_series(f):
     """phi_f(z) = sum_n f_n z^n as a truncated series (zero constant term)."""
     return TruncatedSeries1({n: f.value(n) for n in range(1, f.trunc + 1)},
                             f.trunc)
-
-
-def multfn_to_json(f):
-    return [str(v) for v in f.values]
-
-
-def multfn_from_json(data):
-    return MultFn([as_rational(v) for v in data])

@@ -34,9 +34,6 @@ class NCPartition:
         self.n = n
         self.blocks = canon
 
-    def block_sizes(self):
-        return sorted(len(b) for b in self.blocks)
-
     def __eq__(self, other):
         return (isinstance(other, NCPartition)
                 and self.n == other.n and self.blocks == other.blocks)

@@ -54,7 +54,7 @@ from .series import (
     s2_divide_monomial,
     s2_from_s1,
 )
-from .transforms import _compare_cells
+from .transforms import _compare_cells, left_marginal, right_marginal
 
 FAMILIES = ("T", "T_primed", "S", "S_primed")
 
@@ -64,9 +64,6 @@ _SUBCLASSES = {
     "S": ("all", "e", "o"),
     "S_primed": ("all", "o0", "or", "ol", "olr"),
 }
-
-# engine tags for the split subclasses ('all' weighs every bucket)
-_TAG_KEY = {"e": 2, "o": 1, "o0": "o0", "or": "or", "ol": "ol", "olr": "olr"}
 
 # which pair a block of engine color 1/2 draws its cumulant from; the primed
 # words start with the second factor, so label parity flips there
@@ -252,34 +249,30 @@ def _max_block(family, n, m):
     return n + m + 2
 
 
-def class_sum(spec, fam, max_block=None):
+def class_sum(spec, fam):
     """Weighted class sum via the incremental sweep (the fast route).
 
-    The block-size cap passed to the sweep depends only on the cell, so
-    sweeps are shared between tables of different truncation orders.
+    The sweep depends only on the cell, so it is shared between tables of
+    different truncation orders.
     """
     bound = _max_block(spec.family, spec.n, spec.m)
     if bound > fam.trunc:
         raise TruncationExceeded(
             f"cell ({spec.n},{spec.m}) of family {spec.family} holds blocks "
             f"of size {bound}, beyond tables of order {fam.trunc}")
-    if max_block is None:
-        max_block = bound
     pair_of = _PAIR_OF_COLOR[spec.family]
 
     def block_value(color, nl, nr):
         return fam.pair(pair_of[color]).kappa(nl, nr)
 
-    tag = None if spec.subclass == "all" else _TAG_KEY[spec.subclass]
-    return weigh(spec.family, spec.n, spec.m, max_block, block_value, tag)
+    tag = None if spec.subclass == "all" else spec.subclass
+    return weigh(spec.family, spec.n, spec.m, block_value, tag)
 
 
 def class_count(spec):
     """Number of partitions in the class, via the sweep."""
-    tag = None if spec.subclass == "all" else _TAG_KEY[spec.subclass]
-    return int(weigh(spec.family, spec.n, spec.m,
-                     _max_block(spec.family, spec.n, spec.m),
-                     lambda *_: 1, tag))
+    tag = None if spec.subclass == "all" else spec.subclass
+    return int(weigh(spec.family, spec.n, spec.m, lambda *_: 1, tag))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +297,8 @@ class _Pinched(NamedTuple):
 
 
 def _pinched(fam):
-    T = fam.trunc
-    f1, f2 = (MultFn([fam.pair(i).kappa(k, 0) for k in range(1, T + 1)])
-              for i in (1, 2))
-    g1, g2 = (MultFn([fam.pair(i).kappa(0, k) for k in range(1, T + 1)])
-              for i in (1, 2))
+    f1, f2 = left_marginal(fam.pair1), left_marginal(fam.pair2)
+    g1, g2 = right_marginal(fam.pair1), right_marginal(fam.pair2)
     return _Pinched(f1, f2, g1, g2,
                     phi_series(pinched_convolve(f1, f2)),
                     phi_series(pinched_convolve(f2, f1)),
@@ -374,11 +364,13 @@ def _lone_factor(outer, phi):
 def _rhs_S2(fam, p):
     za = _lone_factor(p.f2, p.f21)
     wb = _lone_factor(p.g2, p.g21)
+    order = min(za.trunc_order, wb.trunc_order) + 2
     coeffs = {}
     for i, vi in za.coeffs.items():
         for j, vj in wb.coeffs.items():
-            coeffs[(i + 1, j + 1)] = vi * vj
-    return TruncatedSeries2(coeffs, za.trunc_order + wb.trunc_order + 2)
+            if i + j + 2 <= order:
+                coeffs[(i + 1, j + 1)] = vi * vj
+    return TruncatedSeries2(coeffs, order)
 
 
 def _rhs_S3(fam, p):
@@ -390,11 +382,11 @@ def _rhs_S4(fam, p):
     pre = s2_from_s1(p.g12, "w") * s2_from_s1(_over_var(p.f21), "z")
     direct = pre * _rhs_S1(fam, p)
     # the left-attached sum is the z<->w mirror of the right-attached one
-    # with every pair's faces swapped; computing it both ways, from the
-    # reflected family's own pinched series, guards the asymmetric
-    # bookkeeping above
-    reflected = _reflect(fam)
-    mirrored = _swap_zw(_rhs_S3(reflected, _pinched(reflected)))
+    # with every pair's faces swapped; computing it both ways guards the
+    # asymmetric bookkeeping above.  Swapping faces swaps the f and g
+    # fields of the pinched series.
+    swapped = _Pinched(*p[2:4], *p[:2], *p[6:], *p[4:6])
+    mirrored = _swap_zw(_rhs_S3(_reflect(fam), swapped))
     if direct != mirrored:
         raise InvariantViolation("left/right mirror of the attached sums broke")
     return direct

@@ -39,8 +39,6 @@ enumerating ground sets past the default cap.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bicum import (
     PairDistribution,
     product_pair_distribution,
@@ -65,73 +63,32 @@ from .series import (
     s2_reciprocal,
 )
 
-_ZERO = Fraction(0)
-
 METHODS = ("cumulant", "analytic")
 
 
-class OneVarDistribution:
-    """Free cumulants kappa_1 .. kappa_trunc of a single element."""
-
-    __slots__ = ("trunc", "_kappa")
-
-    def __init__(self, kappa):
-        values = tuple(as_rational(v) for v in kappa)
-        if not values:
-            raise ValueError("need at least kappa_1")
-        object.__setattr__(self, "trunc", len(values))
-        object.__setattr__(self, "_kappa", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneVarDistribution is immutable")
-
-    def kappa(self, n):
-        if n < 1 or n > self.trunc:
-            raise TruncationExceeded(
-                f"kappa_{n} outside stored range 1..{self.trunc}")
-        return self._kappa[n - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, OneVarDistribution):
-            return NotImplemented
-        return self._kappa == other._kappa
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"OneVarDistribution({list(self._kappa)!r})"
-
-
 def left_marginal(d):
-    """The left face of a pair as a one-variable distribution."""
-    return OneVarDistribution([d.kappa(n, 0) for n in range(1, d.trunc + 1)])
+    """The left face of a pair: its free cumulants kappa_{n,0} as a
+    multiplicative function, whose phi_series is the cumulant series."""
+    return MultFn([d.kappa(n, 0) for n in range(1, d.trunc + 1)])
 
 
 def right_marginal(d):
-    return OneVarDistribution([d.kappa(0, m) for m in range(1, d.trunc + 1)])
-
-
-def cumulant_series_1var(d):
-    """c(z) = sum kappa_n z^n."""
-    return TruncatedSeries1({n: d.kappa(n) for n in range(1, d.trunc + 1)},
-                            d.trunc)
+    return MultFn([d.kappa(0, m) for m in range(1, d.trunc + 1)])
 
 
 def moment_series_1var(d):
-    """psi(z) = sum M_n z^n via the free moment-cumulant convolution.
+    """psi(z) = sum M_n z^n for a face d given by its free cumulants.
 
     Moments are the convolution of the cumulant function with the all-ones
     function, summed over NC(n); this stays on the enumeration side of the
     house and never touches series inversion.
     """
-    kappa = MultFn([d.kappa(n) for n in range(1, d.trunc + 1)])
-    zeta = MultFn([1] * d.trunc)
-    return phi_series(convolve(kappa, zeta))
+    return phi_series(convolve(d, MultFn([1] * d.trunc)))
 
 
 def x_series(d):
     """X(z) = psi^{<-1>}(z), defined when the mean kappa_1 is nonzero."""
-    if d.kappa(1) == 0:
+    if d.value(1) == 0:
         raise ZeroMean("mean is zero; the moment series has no inverse")
     return s1_comp_inverse(moment_series_1var(d))
 
@@ -142,10 +99,10 @@ def s_transform_1var(d, method="cumulant"):
         raise ValueError(f"method must be one of {METHODS}")
     if d.trunc < 2:
         raise ValueError("need cumulants through order 2 for a nontrivial S")
-    if d.kappa(1) == 0:
+    if d.value(1) == 0:
         raise ZeroMean("mean is zero; no S-transform")
     if method == "cumulant":
-        return s1_shift_down(s1_comp_inverse(cumulant_series_1var(d)))
+        return s1_shift_down(s1_comp_inverse(phi_series(d)))
     x = x_series(d)
     one_plus_z = TruncatedSeries1({0: 1, 1: 1}, d.trunc - 1)
     return s1_shift_down(x) * one_plus_z
@@ -188,13 +145,13 @@ def partial_T(d, method="cumulant"):
     _require_right_mean(d)
 
     if method == "cumulant":
-        cb = cumulant_series_1var(right_marginal(d))
+        cb = phi_series(right_marginal(d))
         expr = s2_compose_each_variable(
             series_K(d), TruncatedSeries1.identity(N), s1_comp_inverse(cb))
         t = s2_divide_monomial(expr, 0, 1)
         return TruncatedSeries2.one(t.trunc_order) + t
 
-    ca = cumulant_series_1var(left_marginal(d))
+    ca = phi_series(left_marginal(d))
     one_plus_ca = TruncatedSeries1.one(N) + ca
     u = TruncatedSeries1.identity(N) * s1_reciprocal(one_plus_ca)
     comp = s2_compose_each_variable(series_H(d), u, x_series(right_marginal(d)))
@@ -219,8 +176,8 @@ def partial_S(d, method="cumulant"):
     _require_means(d)
 
     if method == "cumulant":
-        cai = s1_comp_inverse(cumulant_series_1var(left_marginal(d)))
-        cbi = s1_comp_inverse(cumulant_series_1var(right_marginal(d)))
+        cai = s1_comp_inverse(phi_series(left_marginal(d)))
+        cbi = s1_comp_inverse(phi_series(right_marginal(d)))
         expr = s2_compose_each_variable(series_K(d), cai, cbi)
         quot = s2_divide_monomial(expr, 1, 1)
         lin = TruncatedSeries2({(0, 0): 1, (1, 0): 1, (0, 1): 1},
@@ -308,40 +265,12 @@ def check_T_multiplicativity(fam, order):
 
 
 def _theta_pieces(d, big):
-    """Th = K(c_a^{<-1>}(z), c_b^{<-1>}(w)) and its zw-quotient Th-hat.
-
-    Built blockwise from one-variable power tables so that Th-hat is exact
-    to big-1 and zw * Th-hat to big+1; composing and then dividing would
-    lose two orders instead.
-    """
-    ca = TruncatedSeries1({n: d.kappa(n, 0) for n in range(1, big + 1)}, big)
-    cb = TruncatedSeries1({m: d.kappa(0, m) for m in range(1, big + 1)}, big)
-    f = s1_comp_inverse(ca)
-    g = s1_comp_inverse(cb)
-    # A_n = f^n / z, B_m = g^m / w, exact to big - 1
-    a_pows = [s1_shift_down(f)]
-    b_pows = [s1_shift_down(g)]
-    for _ in range(big - 1):
-        a_pows.append(a_pows[-1] * f)
-        b_pows.append(b_pows[-1] * g)
-    hat = {}
-    cap = big - 1
-    for n in range(1, big + 1):
-        for m in range(1, big + 1 - n):
-            v = d.kappa(n, m)
-            if not v:
-                continue
-            for i, vi in a_pows[n - 1].coeffs.items():
-                rest = cap - i
-                for j, vj in b_pows[m - 1].coeffs.items():
-                    if j <= rest:
-                        key = (i, j)
-                        hat[key] = hat.get(key, _ZERO) + v * vi * vj
-    theta_hat = TruncatedSeries2(hat, cap)
-    theta = TruncatedSeries2(
-        {(i + 1, j + 1): v for (i, j), v in hat.items() if i + j + 2 <= big},
-        big)
-    return theta, theta_hat
+    """Th = K(c_a^{<-1>}(z), c_b^{<-1>}(w)), exact to big, and its
+    zw-quotient Th-hat, exact to big-2."""
+    theta = s2_compose_each_variable(
+        series_K(d, big), s1_comp_inverse(phi_series(left_marginal(d))),
+        s1_comp_inverse(phi_series(right_marginal(d))))
+    return theta, s2_divide_monomial(theta, 1, 1)
 
 
 def check_S_multiplicativity(fam, order, right_order="b1b2", rect=None):

@@ -15,10 +15,13 @@ from bifree import (
     enumerate_class,
     moments_from_cumulants,
     pinched_convolve,
+    product_pair_cumulants,
     psi_sum,
     random_family,
     random_pair_distribution,
+    sum_product_pair_cumulants,
 )
+from bifree._classsum import class_profiles
 from bifree.errors import (
     CapExceeded,
     InvalidSize,
@@ -133,3 +136,14 @@ def test_cap_bounds_the_lattice_not_the_sweep(monkeypatch):
     with pytest.raises(CapExceeded):
         cumulants_from_moments({(n, m): 1 for n in range(10)
                                 for m in range(10 - n) if n + m >= 1})
+
+
+def test_sweeps_are_shared_across_table_orders():
+    # a cell is swept once, whatever the order of the tables weighed on it
+    class_profiles.cache_clear()
+    rng = random.Random(21)
+    for trunc in (6, 8):
+        fam = random_family(rng, trunc)
+        sum_product_pair_cumulants(fam, 2, 2)
+        product_pair_cumulants(fam, "b1b2", 2, 2)
+    assert class_profiles.cache_info().misses == 2

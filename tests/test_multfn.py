@@ -14,8 +14,6 @@ from bifree import (
     enumerate_nc_prime,
     eval_on,
     kreweras,
-    multfn_from_json,
-    multfn_to_json,
     partition_from_text,
     phi_series,
     pinched_convolve,
@@ -108,11 +106,6 @@ def test_phi_series():
     assert s.coeff(2) == -2
     assert s.coeff(3) == F(1, 3)
     assert s.trunc_order == 3
-
-
-def test_json_round_trip():
-    f = MultFn([F(1), F(3, 2), F(-7)])
-    assert multfn_from_json(multfn_to_json(f)) == f
 
 
 def test_identity_element():

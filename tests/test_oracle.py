@@ -14,9 +14,14 @@ from bifree import (
     class_count,
     class_sum,
     psi_sum,
+    partial_S,
+    partial_T,
     random_family,
+    trim_pair,
 )
 from bifree.errors import NotNormalized
+from bifree.oracle import _pinched
+from bifree.transforms import _theta_pieces
 
 F = Fraction
 
@@ -90,3 +95,29 @@ def test_class_sum_equals_filtered_sum_on_lemma_grids():
                 continue
             spec = PartitionClassSpec(entry.family, n, m, entry.subclass)
             assert class_sum(spec, fam) == psi_sum(spec, fam)
+
+
+def _agree_to_order(full, trimmed):
+    """Coefficients of `full` and `trimmed` agree through trimmed's order."""
+    keys = set(full.coeffs) | set(trimmed.coeffs)
+    return all(full.coeff(*k) == trimmed.coeff(*k) for k in keys
+               if sum(k) <= trimmed.trunc_order)
+
+
+def test_truncation_orders_never_overclaim():
+    # a series labelled exact to order N must not change below N when the
+    # table grows: rebuild every right side from the order-6 trim of an
+    # order-8 family and compare
+    fam = random_family(random.Random(4), 8, means=(1, 1))
+    small = BiFreeFamily(trim_pair(fam.pair1, 6), trim_pair(fam.pair2, 6))
+    p, p_small = _pinched(fam), _pinched(small)
+    for lemma in sorted(LEMMAS):
+        rhs = LEMMAS[lemma].rhs
+        assert _agree_to_order(rhs(fam, p), rhs(small, p_small)), lemma
+    d, d_small = fam.pair1, small.pair1
+    for transform in (partial_T, partial_S):
+        for method in ("cumulant", "analytic"):
+            assert _agree_to_order(transform(d, method),
+                                   transform(d_small, method)), (transform, method)
+    for full, trimmed in zip(_theta_pieces(d, 8), _theta_pieces(d_small, 6)):
+        assert _agree_to_order(full, trimmed)

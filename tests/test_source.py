@@ -28,3 +28,51 @@ def test_no_check_vanishes_under_optimize():
     found = {p.name: _check_statements(p) for p in sorted(SRC.glob("*.py"))}
     assert len(found) > 1
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _dead_names(paths):
+    """{module: sorted names} of imports a module never uses, and of private
+    module-level functions and constants that neither their own module nor
+    an importing module reads."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    loads = {stem: set() for stem in trees}
+    imported = {stem: set() for stem in trees}
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads[stem].add(node.id)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                source = node.module or ""
+                for alias in node.names:
+                    imported.get(source, set()).add(alias.name)
+    dead = {}
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        found = []
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    local = (alias.asname or alias.name).partition(".")[0]
+                    if local not in loads[stem]:
+                        found.append(local)
+            elif isinstance(node, (ast.FunctionDef, ast.Assign)):
+                targets = ([node.name] if isinstance(node, ast.FunctionDef)
+                           else [t.id for t in ast.walk(node)
+                                 if isinstance(t, ast.Name)
+                                 and isinstance(t.ctx, ast.Store)])
+                for name in targets:
+                    if (name.startswith("_") and not name.startswith("__")
+                            and name not in loads[stem]
+                            and name not in imported[stem]):
+                        found.append(name)
+        if found:
+            dead[stem] = sorted(found)
+    return dead
+
+
+def test_no_dead_names():
+    # an unused import or an unread private helper is dead code
+    assert _dead_names(sorted(SRC.glob("*.py"))) == {}

@@ -7,18 +7,17 @@ import pytest
 
 from bifree import (
     BiFreeFamily,
-    OneVarDistribution,
     PairDistribution,
     check_S_multiplicativity,
     check_T_multiplicativity,
     check_bimoment_factorization,
     check_convolution_inversion,
     check_inverse_product,
-    cumulant_series_1var,
     left_marginal,
     moment_series_1var,
     partial_S,
     partial_T,
+    phi_series,
     random_pair_distribution,
     rescale_pair,
     right_marginal,
@@ -45,20 +44,20 @@ def simplex(order):
 
 def test_free_poisson_s_transform():
     # kappa_n = 1 for n <= 2 then 0: S has signed Catalan tail
-    d = OneVarDistribution([F(1), F(1), F(0), F(0)])
+    d = MultFn([F(1), F(1), F(0), F(0)])
     for method in ("cumulant", "analytic"):
         s = s_transform_1var(d, method)
         assert s.coeffs == {0: 1, 1: -1, 2: 2, 3: -5}
 
 
 def test_moment_series_motzkin():
-    d = OneVarDistribution([F(1), F(1), F(0), F(0), F(0)])
+    d = MultFn([F(1), F(1), F(0), F(0), F(0)])
     psi = moment_series_1var(d)
     assert psi.coeffs == {1: 1, 2: 2, 3: 4, 4: 9, 5: 21}
 
 
 def test_x_series_inverts_psi():
-    d = OneVarDistribution([F(2), F(-1), F(1, 3)])
+    d = MultFn([F(2), F(-1), F(1, 3)])
     x = x_series(d)
     psi = moment_series_1var(d)
     assert s1_compose(psi, x).coeffs == {1: 1}
@@ -66,20 +65,20 @@ def test_x_series_inverts_psi():
 
 def test_one_var_errors():
     with pytest.raises(ZeroMean):
-        s_transform_1var(OneVarDistribution([F(0), F(1)]))
-    d = OneVarDistribution([F(1), F(2)])
+        s_transform_1var(MultFn([F(0), F(1)]))
+    d = MultFn([F(1), F(2)])
     with pytest.raises(TruncationExceeded):
-        d.kappa(3)
+        d.value(3)
     with pytest.raises(ValueError):
-        s_transform_1var(OneVarDistribution([F(1)]))
+        s_transform_1var(MultFn([F(1)]))
 
 
 def test_marginals():
     d = PairDistribution(3, {
         (1, 0): F(2), (0, 1): F(3), (2, 0): F(5), (0, 2): F(7), (1, 1): F(11)})
-    assert [left_marginal(d).kappa(k) for k in (1, 2)] == [2, 5]
-    assert [right_marginal(d).kappa(k) for k in (1, 2)] == [3, 7]
-    assert cumulant_series_1var(left_marginal(d)).coeffs == {1: 2, 2: 5}
+    assert [left_marginal(d).value(k) for k in (1, 2)] == [2, 5]
+    assert [right_marginal(d).value(k) for k in (1, 2)] == [3, 7]
+    assert phi_series(left_marginal(d)).coeffs == {1: 2, 2: 5}
 
 
 def test_rescale_pair():
@@ -212,7 +211,7 @@ def test_identity_checks_on_random_inputs():
 def test_inverse_product_pinched_variant_is_wrong():
     # the z^3 coefficient of z*phi^{<-1>} drops the f_2 contribution if the
     # left side is built from the pinched convolution instead of the plain one
-    from bifree import phi_series, pinched_convolve
+    from bifree import pinched_convolve
     from bifree.series import TruncatedSeries1, s1_comp_inverse
 
     f = MultFn([F(1), F(1), F(0)])
