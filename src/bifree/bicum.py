@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from ._caps import check_trunc
 from ._classsum import weigh
 from .bnc import _mobius_0_1
 from .errors import SizeMismatch, TruncationExceeded
@@ -49,6 +50,7 @@ class PairDistribution:
         trunc = int(trunc)
         if trunc < 1:
             raise ValueError("truncation order must be >= 1")
+        check_trunc(trunc, "table")
         table = {}
         for (n, m), value in dict(kappa).items():
             n, m = int(n), int(m)

@@ -6,18 +6,33 @@ transform downstream reduces to the handful of operations implemented here:
 ring arithmetic, composition, compositional inverse, reciprocal, and for the
 two-variable kind substitution of a one-variable series into each slot.
 
-All coefficients are ``fractions.Fraction``.  Nothing here (or anywhere in
-the package) touches floating point: the acceptance checks are exact
-coefficient identities.  Operations between series of different truncation
-orders truncate to the minimum order; comparisons are made on the common
-prefix, and ``compare`` reports the order actually used.
+At the API every coefficient is a ``fractions.Fraction``: ``coeffs`` maps a
+degree (or an (n, m) pair) to its nonzero value.  Inside, the products,
+compositions, reciprocals and inverses are fraction-free: the operands'
+coefficients are written as Python ints over one common denominator
+(``_to_ints``), the loops multiply and add ints only (``_mac``), and each
+result is turned back into Fractions once (``_from_ints``), so a gcd is
+taken per result coefficient, not per term (Knuth, TAOCP Vol. 2, 4.5.1).
+The compositional inverse is Lagrange inversion,
+
+    g_k = (1/k) [w^(k-1)] (w / f(w))^k,
+
+one integer reciprocal followed by incremental powers, O(N^3) with zero
+coefficients skipped.  Nothing here (or anywhere in the package) touches
+floating point: the acceptance checks are exact coefficient identities.
+Operations between series of different truncation orders truncate to the
+minimum order; comparisons are made on the common prefix, and ``compare``
+reports the order actually used.  No series is longer than the fixed limit
+``_caps.MAX_TRUNC``.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 
+from ._caps import check_trunc
 from .errors import (
     NonzeroConstantTerm,
     NotInvertible,
@@ -48,13 +63,146 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+# ---------------------------------------------------------------------------
+# the fraction-free kernel
+# ---------------------------------------------------------------------------
+
+def _to_ints(f, n):
+    """f through total degree n as (nums, D): each coefficient is its entry
+    of nums over the one denominator D, the lcm of their denominators.
+
+    nums is dense.  For a one-variable series it lists the numerators of
+    z^0 .. z^n; for a two-variable series it lists rows, row p holding
+    those of z^p w^0 .. z^p w^(n-p).
+    """
+    kept = [(k, v) for k, v in f.coeffs.items() if f._degree(k) <= n]
+    den = lcm(*(v.denominator for _, v in kept))
+    if isinstance(f, TruncatedSeries1):
+        nums = [0] * (n + 1)
+        for d, v in kept:
+            nums[d] = v.numerator * (den // v.denominator)
+    else:
+        nums = [[0] * (n + 1 - p) for p in range(n + 1)]
+        for (p, q), v in kept:
+            nums[p][q] = v.numerator * (den // v.denominator)
+    return nums, den
+
+
+def _from_ints(cls, nums, den, n):
+    """The series of type cls and order n whose coefficients are nums / den,
+    laid out as in _to_ints; each Fraction takes its gcd once, here."""
+    if cls is TruncatedSeries1:
+        cells = ((d, a) for d, a in enumerate(nums) if a)
+    else:
+        cells = (((p, q), a) for p, row in enumerate(nums)
+                 for q, a in enumerate(row) if a)
+    return cls({k: Fraction(a, den) for k, a in cells}, n)
+
+
+def _mac(out, a, b):
+    """out[i + j] += a[i] * b[j] for every i + j < len(out): the integer
+    product kernel.  Zero entries of a and b cost nothing."""
+    n = len(out)
+    nz = [(j, y) for j, y in enumerate(b[:n]) if y]
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in nz:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
+
+
+def _mul1(a: list, b: list, n: int) -> list:
+    """Product of two dense int lists, truncated at degree n."""
+    out = [0] * (n + 1)
+    _mac(out, a, b)
+    return out
+
+
+def _mul2(a: list, b: list, n: int) -> list:
+    """Product of two lists of rows (see _to_ints), truncated at total
+    degree n: row p of a times row q of b feeds row p + q."""
+    out = [[0] * (n + 1 - p) for p in range(n + 1)]
+    for p, ra in enumerate(a):
+        if any(ra):
+            for q, rb in enumerate(b[:n + 1 - p]):
+                if any(rb):
+                    _mac(out[p + q], ra, rb)
+    return out
+
+
+def _reduced(nums: list, den: int):
+    """nums / den with the common factor of all entries divided out.
+
+    Powers are reduced as they are formed: den^k grows with k, but the
+    true common denominator of a power truncated at degree n does not.
+    """
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def _reciprocal_ints(a: list):
+    """1/a to the length of a, for an int list with a[0] != 0: (nums, D).
+
+    Writing r_j = R_j / a0^(j+1) turns the recurrence
+    r_j = -(1/a0) sum_{i>=1} a_i r_{j-i} into one over the integers,
+    R_j = -sum_{i>=1} a_i a0^(i-1) R_{j-i}.
+    """
+    m, a0 = len(a), a[0]
+    pw = [1]
+    for _ in range(m):
+        pw.append(pw[-1] * a0)
+    terms = [(i, x * pw[i - 1]) for i, x in enumerate(a) if i and x]
+    R = [1]
+    for j in range(1, m):
+        acc = 0
+        for i, y in terms:
+            if i > j:
+                break
+            acc -= y * R[j - i]
+        R.append(acc)
+    sign = -1 if pw[m] < 0 else 1
+    return _reduced([sign * R[j] * pw[m - 1 - j] for j in range(m)],
+                    sign * pw[m])
+
+
+def _power_table(base: list, den: int, top: int, n: int):
+    """[b^0, b^1, ..., b^top] for b = base / den, truncated at degree n and
+    written over one common denominator: (table, D)."""
+    powers = [([1] + [0] * n, 1)]
+    for _ in range(top):
+        nums, d = powers[-1]
+        powers.append(_reduced(_mul1(nums, base, n), d * den))
+    common = lcm(*(d for _, d in powers))
+    table = []
+    for nums, d in powers:
+        scale = common // d
+        table.append([x * scale for x in nums])
+    return table, common
+
+
+def _substitute(coeffs: list, powers: list, n: int) -> list:
+    """sum_k coeffs[k] * powers[k] through degree n: a polynomial with int
+    coefficients evaluated at a series, given that series' power table."""
+    out = [0] * (n + 1)
+    for k, c in enumerate(coeffs):
+        if c:
+            for d, x in enumerate(powers[k][:n + 1]):
+                if x:
+                    out[d] += c * x
+    return out
+
+
 class _TruncatedSeries:
     """Ring code shared by the one- and two-variable series.
 
     A subclass supplies its constructor, ``coeff``, the origin key of the
     constant term, ``_degree`` (total degree of a key), the product kernel
-    ``_product(a, b, n)`` on coefficient dicts, and ``__str__``.  Sums and
-    products truncate to the smaller order of the two operands.
+    ``_product(a, b, n)`` on the dense int layout of ``_to_ints``, and
+    ``__str__``.  Sums and products truncate to the smaller order of the
+    two operands.
     """
 
     __slots__ = ("trunc_order", "coeffs")
@@ -90,7 +238,9 @@ class _TruncatedSeries:
         if type(other) is not type(self):
             return NotImplemented
         n = min(self.trunc_order, other.trunc_order)
-        return type(self)(self._product(self.coeffs, other.coeffs, n), n)
+        a, da = _to_ints(self, n)
+        b, db = _to_ints(other, n)
+        return _from_ints(type(self), self._product(a, b, n), da * db, n)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -130,16 +280,6 @@ class _TruncatedSeries:
 # one variable
 # ---------------------------------------------------------------------------
 
-def _mul1(a: dict, b: dict, n: int) -> dict:
-    out = {}
-    for da, va in a.items():
-        for db, vb in b.items():
-            d = da + db
-            if d <= n:
-                out[d] = out.get(d, Fraction(0)) + va * vb
-    return out
-
-
 class TruncatedSeries1(_TruncatedSeries):
     """A series sum_{d=0}^{N} c_d z^d known exactly through degree N.
 
@@ -156,6 +296,7 @@ class TruncatedSeries1(_TruncatedSeries):
         n = int(trunc_order)
         if n < 1:
             raise ValueError("truncation order must be at least 1")
+        check_trunc(n, "series")
         if isinstance(coeffs, (list, tuple)):
             coeffs = dict(enumerate(coeffs))
         clean = {}
@@ -195,53 +336,42 @@ def s1_compose(outer: TruncatedSeries1, inner: TruncatedSeries1) -> TruncatedSer
     if inner.coeff(0) != 0:
         raise NonzeroConstantTerm("inner series must have zero constant term")
     n = min(outer.trunc_order, inner.trunc_order)
-    out = {0: outer.coeffs.get(0, Fraction(0))}
-    power = {0: Fraction(1)}
-    for k in range(1, n + 1):
-        power = _mul1(power, inner.coeffs, n)
-        ck = outer.coeffs.get(k)
-        if ck:
-            for d, v in power.items():
-                out[d] = out.get(d, Fraction(0)) + ck * v
-    return TruncatedSeries1(out, n)
+    c, dc = _to_ints(outer, n)
+    b, db = _to_ints(inner, n)
+    top = max((k for k, ck in enumerate(c) if ck), default=0)
+    powers, dp = _power_table(b, db, top, n)
+    return _from_ints(TruncatedSeries1, _substitute(c, powers, n), dc * dp, n)
 
 
 def s1_comp_inverse(f: TruncatedSeries1) -> TruncatedSeries1:
-    """Compositional inverse g with f(g(z)) = g(f(z)) = z (mod z^{N+1})."""
+    """Compositional inverse g with f(g(z)) = g(f(z)) = z (mod z^{N+1}).
+
+    Lagrange inversion: g_k = (1/k) [w^(k-1)] h(w)^k with h = w / f(w),
+    whose powers are needed through degree N-1 only.
+    """
     if f.coeff(0) != 0 or f.coeff(1) == 0:
         raise NotInvertible("need f(0) = 0 and nonzero linear coefficient")
     n = f.trunc_order
-    f1 = f.coeff(1)
-    g = {1: Fraction(1) / f1}
-    for k in range(2, n + 1):
-        # coefficient of z^k in f(g) with g known below degree k
-        power = {0: Fraction(1)}
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            power = _mul1(power, g, k)
-            cj = f.coeffs.get(j)
-            if cj:
-                acc += cj * power.get(k, Fraction(0))
-        g[k] = -acc / f1
+    a, den = _to_ints(f, n)
+    r, e = _reciprocal_ints(a[1:])
+    h, dh = _reduced([den * x for x in r], e)
+    g = {}
+    power, dp = [1] + [0] * (n - 1), 1
+    for k in range(1, n + 1):
+        power, dp = _reduced(_mul1(power, h, n - 1), dp * dh)
+        if power[k - 1]:
+            g[k] = Fraction(power[k - 1], k * dp)
     return TruncatedSeries1(g, n)
 
 
 def s1_reciprocal(f: TruncatedSeries1) -> TruncatedSeries1:
     """Multiplicative inverse: f * result = 1 up to truncation."""
-    c0 = f.coeff(0)
-    if c0 == 0:
+    if f.coeff(0) == 0:
         raise ZeroConstantTerm("series with zero constant term has no reciprocal")
     n = f.trunc_order
-    r = {0: Fraction(1) / c0}
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            cj = f.coeffs.get(j)
-            if cj:
-                acc += cj * r.get(k - j, Fraction(0))
-        if acc:
-            r[k] = -acc / c0
-    return TruncatedSeries1(r, n)
+    a, den = _to_ints(f, n)
+    r, e = _reciprocal_ints(a)
+    return _from_ints(TruncatedSeries1, [den * x for x in r], e, n)
 
 
 def s1_shift_down(f: TruncatedSeries1) -> TruncatedSeries1:
@@ -270,11 +400,13 @@ class TruncatedSeries2(_TruncatedSeries):
 
     __slots__ = ()
     _ORIGIN = (0, 0)
+    _product = staticmethod(_mul2)
 
     def __init__(self, coeffs, trunc_order: int):
         n = int(trunc_order)
         if n < 1:
             raise ValueError("truncation order must be at least 1")
+        check_trunc(n, "series")
         clean = {}
         for key, v in coeffs.items():
             dz, dw = int(key[0]), int(key[1])
@@ -289,16 +421,6 @@ class TruncatedSeries2(_TruncatedSeries):
     @staticmethod
     def _degree(key):
         return key[0] + key[1]
-
-    @staticmethod
-    def _product(a: dict, b: dict, n: int) -> dict:
-        out = {}
-        for (za, wa), va in a.items():
-            for (zb, wb), vb in b.items():
-                dz, dw = za + zb, wa + wb
-                if dz + dw <= n:
-                    out[(dz, dw)] = out.get((dz, dw), Fraction(0)) + va * vb
-        return out
 
     def coeff(self, dz: int, dw: int) -> Fraction:
         if dz + dw > self.trunc_order:
@@ -326,52 +448,56 @@ def s2_compose_each_variable(f: TruncatedSeries2,
     if sub_w.coeff(0) != 0:
         raise NonzeroConstantTerm("substitution for w must have zero constant term")
     n = min(f.trunc_order, sub_z.trunc_order, sub_w.trunc_order)
+    rows, den = _to_ints(f, n)
+    used = [p for p, row in enumerate(rows) if any(row)]
+    top_w = max((q for row in rows for q, c in enumerate(row) if c), default=0)
+    zpow, dz = _power_table(*_to_ints(sub_z, n), max(used, default=0), n)
+    wpow, dw = _power_table(*_to_ints(sub_w, n), top_w, n)
 
-    max_z = max((k[0] for k in f.coeffs), default=0)
-    max_w = max((k[1] for k in f.coeffs), default=0)
-    zpow = _power_table(sub_z.coeffs, min(max_z, n), n)
-    wpow = _power_table(sub_w.coeffs, min(max_w, n), n)
-
-    out = {}
-    for (p, q), c in f.coeffs.items():
-        if p > n or q > n:
-            continue
-        for dz, vz in zpow[p].items():
-            rest = n - dz
-            for dw, vw in wpow[q].items():
-                if dw <= rest:
-                    key = (dz, dw)
-                    out[key] = out.get(key, Fraction(0)) + c * vz * vw
-    return TruncatedSeries2(out, n)
-
-
-def _power_table(base: dict, top: int, n: int) -> list:
-    """[base^0, base^1, ..., base^top] as coefficient dicts truncated at n."""
-    table = [{0: Fraction(1)}]
-    for _ in range(top):
-        table.append(_mul1(table[-1], base, n))
-    return table
+    out = [[0] * (n + 1 - p) for p in range(n + 1)]
+    for p in used:
+        # f's z^p row at w <- sub_w(w), formed once for every z-degree
+        wsum = _substitute(rows[p], wpow, n)
+        terms = [(d, x) for d, x in enumerate(wsum) if x]
+        for e, y in enumerate(zpow[p]):
+            if y:
+                row = out[e]
+                for d, x in terms:
+                    if d >= len(row):
+                        break
+                    row[d] += y * x
+    return _from_ints(TruncatedSeries2, out, den * dz * dw, n)
 
 
 def s2_reciprocal(f: TruncatedSeries2) -> TruncatedSeries2:
-    """Multiplicative inverse of a two-variable series with f(0,0) != 0."""
-    c00 = f.coeff(0, 0)
-    if c00 == 0:
+    """Multiplicative inverse of a two-variable series with f(0,0) != 0.
+
+    With f = F / D and F = sum_p z^p F_p(w), the rows of 1/F are
+    N_p / e^(p+1), where r0 / e = 1 / F_0, N_0 = r0 and
+    N_p = -r0 sum_{i=1}^{p} e^(i-1) F_i N_{p-i}.
+    """
+    if f.coeff(0, 0) == 0:
         raise ZeroConstantTerm("series with zero constant term has no reciprocal")
     n = f.trunc_order
-    r = {(0, 0): Fraction(1) / c00}
-    for total in range(1, n + 1):
-        for dz in range(total + 1):
-            dw = total - dz
-            acc = Fraction(0)
-            for (i, j), c in f.coeffs.items():
-                if (i, j) != (0, 0) and i <= dz and j <= dw:
-                    prev = r.get((dz - i, dw - j))
-                    if prev:
-                        acc += c * prev
-            if acc:
-                r[(dz, dw)] = -acc / c00
-    return TruncatedSeries2(r, n)
+    rows, den = _to_ints(f, n)
+    r0, e = _reciprocal_ints(rows[0])
+    scaled = [None]
+    for i in range(1, n + 1):
+        scale = e ** (i - 1)
+        scaled.append([x * scale for x in rows[i]])
+    out = [r0]
+    for p in range(1, n + 1):
+        acc = [0] * (n + 1 - p)
+        for i in range(1, p + 1):
+            _mac(acc, scaled[i], out[p - i])
+        row = [0] * (n + 1 - p)
+        _mac(row, r0, acc)
+        out.append([-x for x in row])
+    nums = []
+    for p, row in enumerate(out):
+        scale = den * e ** (n - p)
+        nums.append([scale * x for x in row])
+    return _from_ints(TruncatedSeries2, nums, e ** (n + 1), n)
 
 
 def s2_divide_monomial(f: TruncatedSeries2, dz: int, dw: int) -> TruncatedSeries2:

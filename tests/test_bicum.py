@@ -25,7 +25,8 @@ from bifree import (
     sum_product_pair_cumulants,
     sum_product_pair_distribution,
 )
-from bifree.errors import TruncationExceeded
+from bifree._caps import MAX_TRUNC
+from bifree.errors import CapExceeded, TruncationExceeded
 
 F = Fraction
 
@@ -180,3 +181,18 @@ def test_random_tables_honor_pinned_means():
     d = random_pair_distribution(rng, 5, means=(1, F(2)))
     assert d.kappa(1, 0) == 1
     assert d.kappa(0, 1) == 2
+
+
+def test_table_order_limit():
+    # the limit is checked before any cell is read, so a huge order fails
+    # at once, with its own text
+    with pytest.raises(CapExceeded) as exc:
+        PairDistribution(10 ** 6, {(1, 0): 1, (0, 1): 1})
+    assert "MAX_TRUNC" in str(exc.value)
+    assert "BIFREE_CAP" not in str(exc.value)
+    big = PairDistribution(MAX_TRUNC, {(1, 0): 1, (0, 1): 1})
+    assert big.trunc == MAX_TRUNC
+    with pytest.raises(CapExceeded):
+        PairDistribution.from_json(
+            '{"trunc": %d, "kappa": [{"n": 1, "m": 0, "value": "1"}]}'
+            % (MAX_TRUNC + 1))

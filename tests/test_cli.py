@@ -1,10 +1,15 @@
 """Command-line interface: golden output, exit codes, determinism."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+
+from bifree import random_pair_distribution
+from bifree._caps import MAX_TRUNC
 
 TRIVIAL = ('{"trunc": 4, "kappa": ['
            '{"n": 1, "m": 0, "value": "1"}, {"n": 0, "m": 1, "value": "1"}]}')
@@ -15,9 +20,9 @@ UNNORMALIZED = ('{"trunc": 4, "kappa": ['
                 '{"n": 1, "m": 0, "value": "1"}, {"n": 0, "m": 1, "value": "3"}]}')
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "bifree.cli", *args],
+        [sys.executable, *flags, "-m", "bifree.cli", *args],
         capture_output=True, text=True, input=stdin)
 
 
@@ -179,8 +184,9 @@ def _table(trunc=2, n=1, value='"1/2"', extra=""):
     _table(extra=', {"n": 1, "m": 1, "value": "2"}'),
     _table(trunc="2.7"),
     _table(n="1.5"),
+    _table(trunc=10 ** 6),
 ], ids=["float", "zero-denominator", "bool", "duplicate-cell",
-        "float-trunc", "float-index"])
+        "float-trunc", "float-index", "order-above-limit"])
 def test_inexact_or_ambiguous_table_is_usage_error(table):
     out = run_cli("transform", "t", "-", stdin=table)
     assert out.returncode == 2
@@ -196,3 +202,70 @@ def test_cap_env_guard(monkeypatch):
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
     assert "cap" in out.stderr.lower()
+
+
+def _seeded_table(order):
+    """A dense table with both means 1, seeded by its order."""
+    return random_pair_distribution(random.Random(order), order,
+                                    means=(1, 1)).to_json()
+
+
+T8_TEXT = (
+    "1 + 1/4*z + 5*z^2 + 1/5*z*w + 5*z^3 + 4/3*z^2*w - 5/8*z*w^2 + 1/6*z^4 "
+    "+ 1/6*z^3*w - 5/2*z^2*w^2 + 9/20*z*w^3 + 2/3*z^5 - 3/2*z^4*w "
+    "+ 7/2*z^3*w^2 + 94/3*z^2*w^3 - 83/80*z*w^4 + 5/3*z^6 + 5/6*z^4*w^2 "
+    "+ 95/3*z^3*w^3 + 89/4*z^2*w^4 - 247/30*z*w^5 + 2/5*z^7 + 5/3*z^6*w "
+    "- 7/15*z^5*w^2 + 1/2*z^4*w^3 + 81/4*z^3*w^4 + 62/3*z^2*w^5 "
+    "+ 1573/400*z*w^6\n")
+S8_TEXT = (
+    "5/4 + 83/16*z + 9/20*w + 243/32*z^2 + 1541/240*z*w - 17/40*w^2 "
+    "+ 3809/768*z^3 + 1711/480*z^2*w - 809/480*z*w^2 - 7/40*w^3 "
+    "- 22189/1536*z^4 + 5809/3840*z^3*w + 105/64*z^2*w^2 + 14077/480*z*w^3 "
+    "- 47/80*w^4 - 83579/6144*z^5 - 56629/2560*z^4*w + 4303/7680*z^3*w^2 "
+    "+ 49787/960*z^2*w^3 + 10117/192*z*w^4 - 445/48*w^5 "
+    "- 2542699/61440*z^6 + 93839/18432*z^5*w + 47599/5120*z^4*w^2 "
+    "+ 226993/7680*z^3*w^3 + 30251/640*z^2*w^4 + 35521/960*z*w^5 "
+    "- 5161/1200*w^6\n")
+
+
+@pytest.mark.parametrize("which, expected", [("t", T8_TEXT), ("s", S8_TEXT)])
+@pytest.mark.parametrize("method", ["cumulant", "analytic"])
+def test_transform_order_8_golden(which, expected, method):
+    out = run_cli("transform", which, "-", "--method", method,
+                  stdin=_seeded_table(8))
+    assert out.returncode == 0
+    assert out.stdout == expected
+
+
+# sha256 and length of the exact stdout: the texts run to 6.5 and 10.6 kB
+ORDER_24_DIGESTS = {
+    "t": ("af7b8bf1f1508b8330ecaa37222dd71ac0ade9db0cf30a6ecaffaa46761964f8",
+          6486),
+    "s": ("c4d09bb40474e040ab0386e40978dcedc17545eb7ef9c372eaef07c2153f7a4c",
+          10632),
+}
+
+
+@pytest.mark.parametrize("which", ["t", "s"])
+def test_transform_order_24_golden(which):
+    out = run_cli("transform", which, "-", stdin=_seeded_table(24))
+    assert out.returncode == 0
+    assert out.stderr == ""
+    digest = hashlib.sha256(out.stdout.encode()).hexdigest()
+    assert (digest, len(out.stdout)) == ORDER_24_DIGESTS[which]
+
+
+def test_exit_codes_under_optimize():
+    # `python -O` strips assert statements; no check or exit code may
+    # depend on them
+    assert run_cli("verify", "t-mult", flags=["-O"]).returncode == 0
+    assert run_cli("verify", "s-mult", "--right-order", "b2b1",
+                   flags=["-O"]).returncode == 1
+    out = run_cli("transform", "t", "-", stdin=_table(value="0.1"),
+                  flags=["-O"])
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    out = run_cli("transform", "t", "-", stdin=_table(trunc=MAX_TRUNC + 1),
+                  flags=["-O"])
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")

@@ -1,5 +1,6 @@
 """Truncated formal power series: arithmetic, composition, inversion."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,12 +22,16 @@ from bifree.series import (
     render_series_2,
     as_rational,
 )
+from bifree._caps import MAX_TRUNC
 from bifree.errors import (
+    CapExceeded,
     NonzeroConstantTerm,
     NotInvertible,
     WDivisionError,
     ZeroConstantTerm,
 )
+
+from _reference import comp_inverse_fixed_point
 
 F = Fraction
 
@@ -181,7 +186,8 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=25, deadline=None)
-@given(series_strategy(5, zero_const=True, unit_linear=True))
+@given(st.integers(5, 12).flatmap(
+    lambda trunc: series_strategy(trunc, zero_const=True, unit_linear=True)))
 def test_comp_inverse_is_two_sided(f):
     g = s1_comp_inverse(f)
     assert s1_compose(f, g).coeffs == {1: F(1)}
@@ -195,3 +201,80 @@ def test_reciprocal_identity(f):
         return
     g = s1_reciprocal(f)
     assert (f * g).coeffs == {0: F(1)}
+
+
+def _random_series(rng, trunc, density, lo=0):
+    """Entries p/q with |p| <= 6, q <= 6 at each degree >= lo with the
+    given probability; zero entries are dropped by the constructor."""
+    return TruncatedSeries1(
+        {d: F(rng.randint(-6, 6), rng.randint(1, 6))
+         for d in range(lo, trunc + 1) if rng.random() < density}, trunc)
+
+
+def _invertible_cases():
+    rng = random.Random(2024)
+    # every order to 16, then a few up to 30: the reference is O(N^4)
+    for trunc in [*range(1, 17), 20, 24, 30]:
+        for density in (1.0, 0.25):
+            f = _random_series(rng, trunc, density, lo=2)
+            # a linear coefficient other than 1, of either sign
+            f1 = F(rng.choice([-3, -2, 2, 5]), rng.randint(1, 4))
+            yield f + TruncatedSeries1({1: f1}, trunc)
+            yield f + TruncatedSeries1.identity(trunc)
+    yield TruncatedSeries1({1: 1, 7: 1}, 30)
+    yield TruncatedSeries1({1: F(-1, 2), 3: -4, 11: F(5, 3)}, 30)
+
+
+def test_lagrange_inverse_matches_fixed_point():
+    for f in _invertible_cases():
+        g = s1_comp_inverse(f)
+        ref = comp_inverse_fixed_point(f)
+        assert g.trunc_order == ref.trunc_order == f.trunc_order
+        assert g.coeffs == ref.coeffs, str(f)
+
+
+def test_inverse_of_the_variable_is_the_variable():
+    z = TruncatedSeries1.identity(60)
+    assert s1_comp_inverse(z).coeffs == {1: 1}
+    # a sparse series stays sparse: the inverse of z + z^7 has terms in
+    # degrees 1 mod 6 only
+    g = s1_comp_inverse(TruncatedSeries1({1: 1, 7: 1}, 60))
+    assert all(d % 6 == 1 for d in g.coeffs)
+
+
+def _exact(*series):
+    return all(type(v) is Fraction for f in series for v in f.coeffs.values())
+
+
+def test_every_result_coefficient_is_a_fraction():
+    # an int `/` slipped into an integer kernel would give a float
+    rng = random.Random(7)
+    for trunc in (1, 2, 5, 9):
+        for _ in range(5):
+            a = _random_series(rng, trunc, 0.8)
+            b = _random_series(rng, trunc, 0.8)
+            inner = _random_series(rng, trunc, 0.8, lo=1)
+            unit = (_random_series(rng, trunc, 0.8, lo=2)
+                    + TruncatedSeries1({1: F(rng.randint(1, 5), 3)}, trunc))
+            one = TruncatedSeries1.one(trunc)
+            two = TruncatedSeries2(
+                {(p, q): F(rng.randint(-6, 6), rng.randint(1, 6))
+                 for p in range(trunc + 1) for q in range(trunc + 1 - p)}, trunc)
+            two2 = s2_from_s1(a, "w")
+            z = TruncatedSeries2({(1, 0): 1}, trunc)
+            assert _exact(a * b, a + b, s1_compose(a, inner),
+                          s1_comp_inverse(unit), s1_reciprocal(one + inner),
+                          two * two2, two + two2,
+                          s2_reciprocal(TruncatedSeries2.one(trunc) + two * z),
+                          s2_compose_each_variable(two, inner, unit))
+
+
+def test_series_order_limit():
+    TruncatedSeries1({1: 1}, MAX_TRUNC)
+    TruncatedSeries2({(1, 0): 1}, MAX_TRUNC)
+    for build in (lambda n: TruncatedSeries1({1: 1}, n),
+                  lambda n: TruncatedSeries2({(1, 0): 1}, n)):
+        with pytest.raises(CapExceeded) as exc:
+            build(MAX_TRUNC + 1)
+        assert "MAX_TRUNC" in str(exc.value)
+        assert "BIFREE_CAP" not in str(exc.value)

@@ -30,6 +30,27 @@ def test_no_check_vanishes_under_optimize():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _float_uses(path):
+    """Line numbers of float (or complex) literals and of float() calls."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_floating_point():
+    # every value is an exact rational; a float literal or a float() call
+    # in the package is a slip
+    found = {p.name: _float_uses(p) for p in sorted(SRC.glob("*.py"))}
+    assert len(found) > 1
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _dead_names(paths):
     """{module: sorted names} of imports a module never uses, and of private
     module-level functions and constants that neither their own module nor
